@@ -17,12 +17,16 @@ model-level analyses possible.  This module makes the observation testable:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set, Tuple
 
 from ..ir.instructions import Instruction, Phi
 from ..ir.module import Function
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
+
+# networkx is imported where a graph is built: it holds ~22k GC-tracked
+# objects, which every full collection of a compiling process would walk.
 
 
 def build_cdfg(function: Function) -> nx.DiGraph:
@@ -33,6 +37,8 @@ def build_cdfg(function: Function) -> nx.DiGraph:
     (attached between block terminators and the first instruction of each
     successor block).
     """
+    import networkx as nx
+
     graph = nx.DiGraph(name=f"cdfg:{function.name}")
 
     def node_id(instr: Instruction) -> str:
@@ -71,6 +77,8 @@ def model_flow_graph(function: Function) -> nx.DiGraph:
     generator therefore also tags GEPs into the node-output structures, which
     is sufficient to recover the inter-node signal flow.
     """
+    import networkx as nx
+
     graph = nx.DiGraph(name=f"model_flow:{function.name}")
     for block in function.blocks:
         for instr in block.instructions:

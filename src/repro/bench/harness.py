@@ -17,10 +17,11 @@ DESIGN.md, "Sessions and caching".
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -747,7 +748,30 @@ def figure7_scale_report(
         "are cache-independent; warm-store behaviour is asserted separately by "
         "benchmarks/bench_fig7_scale.py."
     )
+    full = [(row["mechanisms"], row["seconds"]) for row in report.rows if row["mode"] == "full"]
+    if len(full) >= 2:
+        text = (
+            f"Full-compile seconds grow as mechanisms^{loglog_exponent(full):.2f} "
+            f"(least-squares fit of log seconds on log mechanisms over {len(full)} sizes)."
+        )
+        largest, seconds = max(full)
+        if largest >= 500:
+            verdict = "met" if seconds < 5.0 else "not met"
+            text += (
+                f"  {largest}-mechanism {pipeline} compile: {seconds:.2f} s "
+                f"(target under 5 s: {verdict})."
+            )
+        report.note(text)
     return report
+
+
+def loglog_exponent(points: Sequence[Tuple[float, float]]) -> float:
+    """Least-squares slope of ``log y`` on ``log x``: the ``k`` of ``y ~ x**k``."""
+    xs = [math.log(x) for x, _ in points]
+    ys = [math.log(y) for _, y in points]
+    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    spread = sum((x - mean_x) ** 2 for x in xs)
+    return sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / spread
 
 
 # ---------------------------------------------------------------------------
@@ -1289,6 +1313,16 @@ def figure10_autotune_report(quick: bool = False) -> FigureReport:
         "(pipeline=\"auto\") is covered by figure9's serving path and "
         "tests/test_autotune.py."
     )
+    winners: Dict[str, int] = {}
+    for row in report.rows:
+        winners[row["tuned_pipeline"]] = winners.get(row["tuned_pipeline"], 0) + 1
+    summary = ", ".join(f"{pipeline} on {count}" for pipeline, count in sorted(winners.items()))
+    verdict = (
+        "every winner is default<O1>"
+        if set(winners) == {"default<O1>"}
+        else "not every winner is default<O1>"
+    )
+    report.note(f"Winners by pipeline: {summary} of {len(report.rows)} workloads; {verdict}.")
     return report
 
 

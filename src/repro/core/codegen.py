@@ -113,7 +113,7 @@ def emit_condition(
     if isinstance(condition, cond.EveryNCalls):
         count_field = StaticLayout.count_field(condition.dependency)
         index = layout.state_struct.field_index(count_field)
-        count = b.load(b.gep(state_ptr, [b.i64(0), b.i64(index)]))
+        count = b.load(b.gep(state_ptr, [0, index]))
         count_int = b.fptosi(count)
         positive = b.icmp("sgt", count_int, b.i64(0))
         divisible = b.icmp("eq", b.srem(count_int, b.i64(condition.n)), b.i64(0))
@@ -123,14 +123,14 @@ def emit_condition(
         field_index = layout.output_struct.field_index(
             StaticLayout.output_field(condition.node)
         )
-        field_ptr = b.gep(prev_ptr, [b.i64(0), b.i64(field_index)])
+        field_ptr = b.gep(prev_ptr, [0, field_index])
         field_type = layout.output_struct.field_type(field_index)
         values = []
         for i in range(size):
             if field_type.is_scalar:
                 values.append(b.load(field_ptr))
             else:
-                values.append(b.load(b.gep(field_ptr, [b.i64(0), b.i64(i)])))
+                values.append(b.load(b.gep(field_ptr, [0, i])))
         if condition.statistic == "max_abs":
             stats = [b.fabs(v) for v in values]
             stat = stats[0]
@@ -201,6 +201,7 @@ class ModelCodeGenerator:
         self.module.add_struct(layout.state_struct)
         self.module.add_struct(layout.output_struct)
         self.grid_searches: List[GridSearchInfo] = []
+        self._node_type: Optional[FunctionType] = None
 
     # -- entry point ---------------------------------------------------------------
     def generate(self) -> CompiledArtifacts:
@@ -228,10 +229,12 @@ class ModelCodeGenerator:
         engines' :class:`GridSearchInfo`, both of which an incremental
         recompile carries over from the previous compile).
         """
+        if self._node_type is None:
+            # One signature object serves every declaration (types are
+            # immutable values).
+            self._node_type = node_function_type(self.layout)
         self.module.add_function(
-            f"node_{name}",
-            node_function_type(self.layout),
-            ["params", "state", "prev", "cur", "ext"],
+            f"node_{name}", self._node_type, ["params", "state", "prev", "cur", "ext"]
         )
 
     # -- control mechanisms ------------------------------------------------------------
@@ -284,9 +287,9 @@ class ModelCodeGenerator:
 
         # Kernel-local PRNG state (the replicated read-write state of §3.6).
         rng_state = b.alloca(ArrayType(F64, 2), name="eval_rng")
-        rng_ptr = b.gep(rng_state, [b.i64(0), b.i64(0)])
+        rng_ptr = b.gep(rng_state, [0, 0])
         b.store(rng_key, rng_ptr)
-        b.store(rng_counter, b.gep(rng_state, [b.i64(0), b.i64(1)]))
+        b.store(rng_counter, b.gep(rng_state, [0, 1]))
 
         produced: Dict[str, List[Value]] = {}
         for step in control.steps:
@@ -335,7 +338,7 @@ class ModelCodeGenerator:
             b, self.layout, self.composition, control, prev_ptr, ext_ptr
         )
         for i, value in enumerate(variable):
-            b.store(value, b.gep(out_ptr, [b.i64(i)]))
+            b.store(value, b.gep(out_ptr, [i]))
         b.ret()
         return fn
 
@@ -397,11 +400,11 @@ class ModelCodeGenerator:
             levels_field = StaticLayout.param_field(control.name, f"levels{signal}")
             findex = layout.params_struct.field_index(levels_field)
             ftype = layout.params_struct.field_type(findex)
-            fptr = b.gep(params_ptr, [b.i64(0), b.i64(findex)])
+            fptr = b.gep(params_ptr, [0, findex])
             if ftype.is_scalar:
                 allocs.append(b.load(fptr))
             else:
-                allocs.append(b.load(b.gep(fptr, [b.i64(0), signal_idx])))
+                allocs.append(b.load(b.gep(fptr, [0, signal_idx])))
 
         counter = b.fadd(counter_base, b.fmul(b.sitofp(idx), b.f64(float(stride))))
         cost = b.call(kernel, [params_ptr] + variable + allocs + [key, counter], "cost")
@@ -513,7 +516,7 @@ class ModelCodeGenerator:
             b.call(node_fn, [params_ptr, state_ptr, prev_ptr, cur_ptr, ext_ptr])
             # Execution-count metadata (read by EveryNCalls and the modeller).
             count_index = layout.state_struct.field_index(StaticLayout.count_field(node_name))
-            count_ptr = b.gep(state_ptr, [b.i64(0), b.i64(count_index)])
+            count_ptr = b.gep(state_ptr, [0, count_index])
             b.store(b.fadd(b.load(count_ptr), b.f64(1.0)), count_ptr)
             b.br(next_block)
             current = next_block
@@ -678,30 +681,21 @@ class ModelCodeGenerator:
     # -- small helpers ---------------------------------------------------------------------------
     def _output_slot_gep(self, b: IRBuilder, buffer_ptr: Value, slot: int) -> Value:
         """Pointer to a linear slot of the output struct (by field + element)."""
-        struct = self.layout.output_struct
-        running = 0
-        for index, (_, ftype) in enumerate(struct.fields):
-            size = ftype.slot_count()
-            if slot < running + size:
-                field_ptr = b.gep(buffer_ptr, [b.i64(0), b.i64(index)])
-                if ftype.is_scalar:
-                    return field_ptr
-                return b.gep(field_ptr, [b.i64(0), b.i64(slot - running)])
-            running += size
-        raise CompilationError(f"output slot {slot} out of range")
+        return self._slot_gep(b, self.layout.output_struct, buffer_ptr, slot, "output")
 
     def _state_slot_gep(self, b: IRBuilder, state_ptr: Value, slot: int) -> Value:
-        struct = self.layout.state_struct
-        running = 0
-        for index, (_, ftype) in enumerate(struct.fields):
-            size = ftype.slot_count()
-            if slot < running + size:
-                field_ptr = b.gep(state_ptr, [b.i64(0), b.i64(index)])
-                if ftype.is_scalar:
-                    return field_ptr
-                return b.gep(field_ptr, [b.i64(0), b.i64(slot - running)])
-            running += size
-        raise CompilationError(f"state slot {slot} out of range")
+        return self._slot_gep(b, self.layout.state_struct, state_ptr, slot, "state")
+
+    @staticmethod
+    def _slot_gep(b: IRBuilder, struct, ptr: Value, slot: int, what: str) -> Value:
+        try:
+            index, within = struct.field_at_slot(slot)
+        except IndexError:
+            raise CompilationError(f"{what} slot {slot} out of range") from None
+        field_ptr = b.gep(ptr, [0, index])
+        if struct.field_type(index).is_scalar:
+            return field_ptr
+        return b.gep(field_ptr, [0, within])
 
 
 def generate_model_ir(

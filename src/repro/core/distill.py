@@ -571,7 +571,7 @@ def compile_composition(
         name: function_fingerprint(fn)
         for name, fn in artifacts.module.functions.items()
     }
-    unit_fps = unit_fingerprints(artifacts.module, pipeline_fp, flags)
+    unit_fps = unit_fingerprints(artifacts.module, pipeline_fp, flags, function_fps)
 
     optimized_entry = None
     opt_key = None

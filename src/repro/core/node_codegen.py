@@ -65,12 +65,12 @@ class MechEmitContext(EmitContext):
         struct = struct_ptr.type.pointee
         index = struct.field_index(field)
         ftype = struct.field_type(index)
-        field_ptr = b.gep(struct_ptr, [b.i64(0), b.i64(index)], name=field)
+        field_ptr = b.gep(struct_ptr, [0, index], name=field)
         if ftype.is_scalar:
             return [b.load(field_ptr)]
         values = []
         for i in range(ftype.count):
-            element_ptr = b.gep(field_ptr, [b.i64(0), b.i64(i)])
+            element_ptr = b.gep(field_ptr, [0, i])
             values.append(b.load(element_ptr))
         return values
 
@@ -79,7 +79,7 @@ class MechEmitContext(EmitContext):
         struct = struct_ptr.type.pointee
         index = struct.field_index(field)
         ftype = struct.field_type(index)
-        field_ptr = b.gep(struct_ptr, [b.i64(0), b.i64(index)], name=field)
+        field_ptr = b.gep(struct_ptr, [0, index], name=field)
         if ftype.is_scalar:
             b.store(values[0], field_ptr)
             return
@@ -88,7 +88,7 @@ class MechEmitContext(EmitContext):
                 f"store to {field}: expected {ftype.count} values, got {len(values)}"
             )
         for i, value in enumerate(values):
-            b.store(value, b.gep(field_ptr, [b.i64(0), b.i64(i)]))
+            b.store(value, b.gep(field_ptr, [0, i]))
 
     # -- EmitContext API ---------------------------------------------------------------
     def param(self, name: str) -> List[Value]:
@@ -118,9 +118,9 @@ class MechEmitContext(EmitContext):
         b = self.builder
         struct = self.state_ptr.type.pointee
         index = struct.field_index(StaticLayout.rng_field(self.mech_name))
-        field_ptr = b.gep(self.state_ptr, [b.i64(0), b.i64(index)])
+        field_ptr = b.gep(self.state_ptr, [0, index])
         # Pointer to the first slot (key); the intrinsic reads key/counter.
-        return b.gep(field_ptr, [b.i64(0), b.i64(0)], name=f"{self.mech_name}_rng")
+        return b.gep(field_ptr, [0, 0], name=f"{self.mech_name}_rng")
 
     def constant(self, value: float) -> Value:
         return self.builder.f64(float(value))
@@ -204,7 +204,7 @@ def emit_port_values(
         offset, size = layout.input_layout[mech.name]
         first_port = mech.input_ports[0].name
         for i in range(size):
-            ptr = b.gep(ext_ptr, [b.i64(offset + i)], name=f"ext_{mech.name}_{i}")
+            ptr = b.gep(ext_ptr, [offset + i], name=f"ext_{mech.name}_{i}")
             accumulate(first_port, i, b.load(ptr))
 
     # Projections from other nodes (previous-pass values).
@@ -213,13 +213,13 @@ def emit_port_values(
         sender = projection.sender.name
         field_index = out_struct.field_index(StaticLayout.output_field(sender))
         field_type = out_struct.field_type(field_index)
-        field_ptr = b.gep(prev_ptr, [b.i64(0), b.i64(field_index)], name=f"prev_{sender}")
+        field_ptr = b.gep(prev_ptr, [0, field_index], name=f"prev_{sender}")
 
         def load_sender(i: int) -> Value:
             if field_type.is_scalar:
                 value = b.load(field_ptr)
             else:
-                value = b.load(b.gep(field_ptr, [b.i64(0), b.i64(i)]))
+                value = b.load(b.gep(field_ptr, [0, i]))
             value.metadata["reads_output_of"] = sender
             return value
 
@@ -267,7 +267,7 @@ def store_outputs(
     struct = layout.output_struct
     field_index = struct.field_index(StaticLayout.output_field(mech_name))
     field_type = struct.field_type(field_index)
-    field_ptr = b.gep(cur_ptr, [b.i64(0), b.i64(field_index)], name=f"cur_{mech_name}")
+    field_ptr = b.gep(cur_ptr, [0, field_index], name=f"cur_{mech_name}")
     expected = 1 if field_type.is_scalar else field_type.count
     if len(values) != expected:
         raise CompilationError(
@@ -278,7 +278,7 @@ def store_outputs(
         b.store(values[0], field_ptr)
         return
     for i, value in enumerate(values):
-        b.store(value, b.gep(field_ptr, [b.i64(0), b.i64(i)]))
+        b.store(value, b.gep(field_ptr, [0, i]))
 
 
 def emit_node_function(

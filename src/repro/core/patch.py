@@ -20,7 +20,8 @@ after a model edit instead of recompiling from scratch:
    compile are discarded (a pure parameter-value edit reaches a fixpoint
    here: plain parameters load from the params buffer, so the IR is
    bit-identical and only the layout's default param values need swapping);
-5. anything genuinely stale is optimised with the model's own pipeline,
+5. anything genuinely stale is optimised with the model's own pipeline —
+   each regenerated function as its own unit, nothing inlined across them —
    lowered with the unchanged nodes *linked in* from the previous compile
    (their compiled callables are injected into the exec namespace), and
    grafted into the live module.
@@ -54,8 +55,8 @@ __all__ = ["recompile_model"]
 # ---------------------------------------------------------------------------
 
 
-def _mechanism_codegen_key(composition: Composition, name: str):
-    """Everything that feeds ``name``'s generated node function.
+def _codegen_keys(composition: Composition) -> Dict[str, tuple]:
+    """Everything that feeds each mechanism's generated node function.
 
     Besides the mechanism itself (type, ports, function parameters and — for
     control mechanisms — levels and steps), the node body bakes the incoming
@@ -64,20 +65,22 @@ def _mechanism_codegen_key(composition: Composition, name: str):
     """
     from ..driver.session import _canonical, _condition_key, _mechanism_key
 
-    mech = composition.mechanisms[name]
-    incoming = tuple(
-        (p.sender.name, p.port, _canonical(p.matrix), _canonical(p.sender_slice))
-        for p in composition.projections
-        if p.receiver.name == name
-    )
-    return (
-        _mechanism_key(mech),
-        incoming,
-        _condition_key(composition.conditions[name]),
-        name in composition.input_nodes,
-        name in composition.output_nodes,
-        name in composition.monitored_nodes,
-    )
+    incoming: Dict[str, list] = {name: [] for name in composition.mechanisms}
+    for p in composition.projections:
+        incoming.setdefault(p.receiver.name, []).append(
+            (p.sender.name, p.port, _canonical(p.matrix), _canonical(p.sender_slice))
+        )
+    return {
+        name: (
+            _mechanism_key(mech),
+            tuple(incoming[name]),
+            _condition_key(composition.conditions[name]),
+            name in composition.input_nodes,
+            name in composition.output_nodes,
+            name in composition.monitored_nodes,
+        )
+        for name, mech in composition.mechanisms.items()
+    }
 
 
 def _diff_compositions(old: Composition, new: Composition) -> Optional[Set[str]]:
@@ -91,11 +94,8 @@ def _diff_compositions(old: Composition, new: Composition) -> Optional[Set[str]]
     """
     if set(old.mechanisms) != set(new.mechanisms):
         return None
-    return {
-        name
-        for name in new.mechanisms
-        if _mechanism_codegen_key(old, name) != _mechanism_codegen_key(new, name)
-    }
+    old_keys, new_keys = _codegen_keys(old), _codegen_keys(new)
+    return {name for name in new.mechanisms if old_keys[name] != new_keys[name]}
 
 
 def _expand_changed(composition: Composition, changed: Set[str]) -> Set[str]:
@@ -346,6 +346,12 @@ def recompile_model(
 
     flags = model.flags or {}
     analysis_manager = AnalysisManager(enabled=bool(flags.get("analysis_cache", True)))
+    # A patch keeps its compile units separate: nothing is inlined across
+    # them (a node body into the scheduler functions, run_pass into
+    # run_trial), so the patch optimises and lowers each regenerated unit
+    # once instead of again inside its callers.
+    for fn in patch_module.defined_functions():
+        fn.attributes["noinline"] = True
     model.pipeline.run(patch_module, analysis_manager)
 
     lowerer = PythonCodeGenerator(

@@ -129,6 +129,7 @@ def build_layout(composition: Composition, info: SanitizationInfo) -> StaticLayo
     state_reset_entries: List[Tuple[int, List[float]]] = []
     rng_offsets: Dict[str, int] = {}
     output_offsets: Dict[str, Tuple[int, int]] = {}
+    output_slots = 0
 
     def add_param_field(name: str, values: np.ndarray) -> None:
         flat = np.asarray(values, dtype=float).ravel()
@@ -140,7 +141,7 @@ def build_layout(composition: Composition, info: SanitizationInfo) -> StaticLayo
 
     def add_state_field(name: str, values: np.ndarray, reset: bool = True) -> int:
         flat = np.asarray(values, dtype=float).ravel()
-        offset = state_struct.slot_count()
+        offset = len(state_init_values)  # one initial value per state slot
         if flat.size == 1:
             state_struct.add_field(name, F64)
         else:
@@ -177,13 +178,14 @@ def build_layout(composition: Composition, info: SanitizationInfo) -> StaticLayo
             )
 
         # Output buffer entry.
-        offset = output_struct.slot_count()
+        offset = output_slots
         size = mech_info.output_size
         if size == 1:
             output_struct.add_field(_field(name, "out"), F64)
         else:
             output_struct.add_field(_field(name, "out"), ArrayType(F64, size))
         output_offsets[name] = (offset, size)
+        output_slots += size
 
     # Result record: final outputs of the designated output nodes.
     result_layout: Dict[str, Tuple[int, int]] = {}

@@ -122,21 +122,28 @@ def _sha256(*tokens: str) -> str:
     return h.hexdigest()
 
 
-def unit_fingerprints(module, pipeline_fingerprint: str, flags: Optional[Dict[str, object]] = None) -> Dict[str, str]:
+def unit_fingerprints(
+    module,
+    pipeline_fingerprint: str,
+    flags: Optional[Dict[str, object]] = None,
+    function_fingerprints: Optional[Dict[str, str]] = None,
+) -> Dict[str, str]:
     """Per-function *compile unit* keys for every function of ``module``.
 
     A unit key covers the function's own structural fingerprint, the unit
     keys of everything it (transitively) calls, the optimisation pipeline,
     the normalized flags and the global :func:`artifact_salt` — so a unit is
     reusable exactly when re-running distill → optimize → codegen on it would
-    reproduce the stored artifact.
+    reproduce the stored artifact.  ``function_fingerprints`` passes in the
+    structural fingerprints when the caller already computed them for every
+    function of ``module``.
     """
     from ..ir.fingerprint import function_fingerprint
     from ..ir.instructions import Call
 
     salt = artifact_salt()
     flags_token = repr(normalize_flags(flags))
-    own: Dict[str, str] = {
+    own: Dict[str, str] = function_fingerprints or {
         name: function_fingerprint(fn) for name, fn in module.functions.items()
     }
     callees: Dict[str, List[str]] = {}

@@ -42,6 +42,11 @@ class IRBuilder:
         #: Used by the model code generator to tag instructions with the
         #: cognitive-model node they implement (consumed by the CDFG pass).
         self.current_source_node: Optional[str] = None
+        #: The i64 constant of each plain-integer GEP index, shared by every
+        #: GEP this builder emits with that index.  Constants keep no use
+        #: lists, so one object can serve any number of instructions; the
+        #: scheduler functions of a large model hold thousands of such GEPs.
+        self._index_constants: dict = {}
 
     # -- positioning -------------------------------------------------------
     def position_at_end(self, block: BasicBlock) -> None:
@@ -165,9 +170,20 @@ class IRBuilder:
     def store(self, value: Value, ptr: Value) -> Value:
         return self._insert(Store(value, ptr))
 
-    def gep(self, ptr: Value, indices: Sequence[Value], name: str = "") -> Value:
-        result_type = GEP.resolve_type(ptr.type.pointee, list(indices))
-        return self._insert(GEP(ptr, list(indices), result_type, name))
+    def gep(self, ptr: Value, indices: Sequence, name: str = "") -> Value:
+        """``getelementptr``; plain integers in ``indices`` become shared
+        i64 constants."""
+        indices = [self._index(i) for i in indices]
+        result_type = GEP.resolve_type(ptr.type.pointee, indices)
+        return self._insert(GEP(ptr, indices, result_type, name))
+
+    def _index(self, value) -> Value:
+        if isinstance(value, Value):
+            return value
+        constant = self._index_constants.get(value)
+        if constant is None:
+            constant = self._index_constants[value] = const_int(value)
+        return constant
 
     def struct_field_ptr(self, ptr: Value, field: str, name: str = "") -> Value:
         """Pointer to a named field of a struct pointed to by ``ptr``."""
@@ -175,15 +191,13 @@ class IRBuilder:
         if not isinstance(struct, StructType):
             raise TypeError(f"expected pointer to struct, got {ptr.type}")
         index = struct.field_index(field)
-        return self.gep(ptr, [self.i64(0), self.i64(index)], name or field)
+        return self.gep(ptr, [0, index], name or field)
 
     def array_element_ptr(self, ptr: Value, index: Value, name: str = "") -> Value:
         """Pointer to ``array[index]`` for a pointer to an array."""
         if not isinstance(ptr.type.pointee, ArrayType):
             raise TypeError(f"expected pointer to array, got {ptr.type}")
-        if isinstance(index, int):
-            index = self.i64(index)
-        return self.gep(ptr, [self.i64(0), index], name)
+        return self.gep(ptr, [0, index], name)
 
     def load_field(self, ptr: Value, field: str, name: str = "") -> Value:
         return self.load(self.struct_field_ptr(ptr, field), name or field)

@@ -23,7 +23,7 @@ friends are diagnostics, not semantics, and must not invalidate artifacts.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional
+from typing import Iterable, Tuple
 
 from .instructions import (
     Alloca,
@@ -37,6 +37,7 @@ from .instructions import (
     Instruction,
     Phi,
 )
+from . import types as ir_types
 from .module import Function, Module
 from .types import ArrayType, FunctionType, IRType, PointerType, StructType
 from .values import Argument, Constant, UndefValue, Value
@@ -44,30 +45,52 @@ from .values import Argument, Constant, UndefValue, Value
 __all__ = ["function_fingerprint", "module_fingerprint", "type_signature"]
 
 
-def type_signature(ty: IRType, _seen: Optional[frozenset] = None) -> str:
+def type_signature(ty: IRType) -> str:
     """A canonical spelling of ``ty`` with struct layouts expanded.
 
     ``str(StructType)`` prints only ``%name``; for content addressing the
     field layout must participate, otherwise adding a field to a struct
-    would collide with the old artifact.
+    would collide with the old artifact.  Memoised on each type object until
+    :data:`repro.ir.types.TYPE_MUTATION_EPOCH` moves.
     """
+    epoch, memo = ty._signature_memo
+    if epoch == ir_types.TYPE_MUTATION_EPOCH:
+        return memo
+    return _signature(ty, frozenset())[0]
+
+
+def _signature(ty: IRType, seen: frozenset) -> Tuple[str, bool]:
+    """``(signature, cut)``; ``cut`` is true when a recursive struct reference
+    was abbreviated to ``%name`` under ``seen``.  Only uncut signatures are
+    independent of ``seen``, so only those are memoised."""
+    epoch, memo = ty._signature_memo
+    if epoch == ir_types.TYPE_MUTATION_EPOCH:
+        return memo, False
     if isinstance(ty, StructType):
-        seen = _seen or frozenset()
         if ty.name in seen:  # pragma: no cover - structs are non-recursive
-            return f"%{ty.name}"
+            return f"%{ty.name}", True
         inner = seen | {ty.name}
-        body = ",".join(
-            f"{fname}:{type_signature(ftype, inner)}" for fname, ftype in ty.fields
+        parts = [(fname, _signature(ftype, inner)) for fname, ftype in ty.fields]
+        text = "%{}{{{}}}".format(
+            ty.name, ",".join(f"{fname}:{sig}" for fname, (sig, _) in parts)
         )
-        return f"%{ty.name}{{{body}}}"
-    if isinstance(ty, PointerType):
-        return f"{type_signature(ty.pointee, _seen)}*"
-    if isinstance(ty, ArrayType):
-        return f"[{ty.count}x{type_signature(ty.element, _seen)}]"
-    if isinstance(ty, FunctionType):
-        params = ",".join(type_signature(p, _seen) for p in ty.param_types)
-        return f"{type_signature(ty.return_type, _seen)}({params})"
-    return str(ty)
+        cut = any(c for _, (_, c) in parts)
+    elif isinstance(ty, PointerType):
+        sig, cut = _signature(ty.pointee, seen)
+        text = f"{sig}*"
+    elif isinstance(ty, ArrayType):
+        sig, cut = _signature(ty.element, seen)
+        text = f"[{ty.count}x{sig}]"
+    elif isinstance(ty, FunctionType):
+        parts = [_signature(p, seen) for p in ty.param_types]
+        ret, cut = _signature(ty.return_type, seen)
+        text = f"{ret}({','.join(sig for sig, _ in parts)})"
+        cut = cut or any(c for _, c in parts)
+    else:
+        text, cut = str(ty), False
+    if not cut:
+        ty._signature_memo = (ir_types.TYPE_MUTATION_EPOCH, text)
+    return text, cut
 
 
 def _constant_token(value: Constant) -> str:
@@ -84,31 +107,35 @@ def _constant_token(value: Constant) -> str:
     return f"c:{type_signature(value.type)}:{token}"
 
 
-def _operand_token(op: Value, ids: dict) -> str:
-    if isinstance(op, Constant):
-        return _constant_token(op)
-    if isinstance(op, UndefValue):
-        return f"u:{type_signature(op.type)}"
-    if isinstance(op, Argument):
-        return f"a:{op.index}"
-    key = id(op)
-    if key in ids:
-        return f"i:{ids[key]}"
-    # An operand defined outside this function's blocks (malformed IR) —
-    # never fingerprint it as some unrelated local value.
-    return f"x:{type_signature(op.type)}"  # pragma: no cover - defensive
-
-
 def _instruction_tokens(fn: Function) -> Iterable[str]:
-    ids: dict = {}
-    block_ids: dict = {}
-    for index, block in enumerate(fn.blocks):
-        block_ids[id(block)] = index
+    block_ids = {id(block): index for index, block in enumerate(fn.blocks)}
+    # Operand tokens by id: instructions get their dense index up front;
+    # constants (often shared between instructions), arguments and undefs
+    # are spelled on first use.
+    tokens: dict = {}
     counter = 0
     for block in fn.blocks:
         for instr in block.instructions:
-            ids[id(instr)] = counter
+            tokens[id(instr)] = f"i:{counter}"
             counter += 1
+
+    def operand_token(op: Value) -> str:
+        token = tokens.get(id(op))
+        if token is not None:
+            return token
+        if isinstance(op, Constant):
+            token = _constant_token(op)
+        elif isinstance(op, Argument):
+            token = f"a:{op.index}"
+        elif isinstance(op, UndefValue):
+            token = f"u:{type_signature(op.type)}"
+        else:
+            # An operand defined outside this function's blocks (malformed
+            # IR) — never fingerprint it as some unrelated local value.
+            return f"x:{type_signature(op.type)}"  # pragma: no cover - defensive
+        tokens[id(op)] = token
+        return token
+
     for index, block in enumerate(fn.blocks):
         yield f"B{index}"
         for instr in block.instructions:
@@ -129,7 +156,7 @@ def _instruction_tokens(fn: Function) -> Iterable[str]:
                 parts.append(
                     ",".join(str(block_ids.get(id(t), -1)) for t in instr.targets)
                 )
-            parts.extend(_operand_token(op, ids) for op in instr.operands)
+            parts.extend(map(operand_token, instr.operands))
             yield "|".join(parts)
 
 
@@ -139,24 +166,17 @@ def function_fingerprint(fn: Function) -> str:
     Covers the signature, attributes, block/instruction structure, operand
     graph (by dense value id), constants (bitwise for floats), callee names
     and parallel-region annotations.  Excludes value names and instruction
-    metadata, both of which are presentation-only.
+    metadata, both of which are presentation-only.  The digest is sha256
+    over the tokens, each followed by a NUL byte.
     """
-    h = hashlib.sha256()
-
-    def feed(token: str) -> None:
-        h.update(token.encode("utf-8"))
-        h.update(b"\x00")
-
-    feed(fn.name)
-    feed(type_signature(fn.type))
-    feed(fn.intrinsic_name or "")
+    tokens = [fn.name, type_signature(fn.type), fn.intrinsic_name or ""]
     for key in sorted(fn.attributes):
-        feed(f"attr:{key}={fn.attributes[key]!r}")
+        tokens.append(f"attr:{key}={fn.attributes[key]!r}")
     for region in fn.parallel_regions:
-        feed(f"par:{sorted(region.items())!r}")
-    for token in _instruction_tokens(fn):
-        feed(token)
-    return h.hexdigest()
+        tokens.append(f"par:{sorted(region.items())!r}")
+    tokens.extend(_instruction_tokens(fn))
+    tokens.append("")
+    return hashlib.sha256("\x00".join(tokens).encode("utf-8")).hexdigest()
 
 
 def module_fingerprint(module: Module) -> str:

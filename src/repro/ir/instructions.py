@@ -91,13 +91,15 @@ class Instruction(Value):
 
     def __init__(self, ty: IRType, operands: Sequence[Value] = (), name: str = ""):
         super().__init__(ty, name)
-        self.operands: list[Value] = []
+        self.operands: list[Value] = list(operands)
         self.parent: Optional["BasicBlock"] = None
         #: Free-form metadata, e.g. ``source_node`` tags attached by the model
         #: code generator and consumed by the CDFG analysis.
         self.metadata: dict[str, object] = {}
-        for op in operands:
-            self.add_operand(op)
+        for op in self.operands:
+            if op is None:
+                raise ValueError(f"{self.opcode}: operand may not be None")
+            op.add_use(self)
 
     # -- operand management ------------------------------------------------
     def add_operand(self, value: Value) -> None:

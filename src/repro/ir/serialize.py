@@ -265,7 +265,7 @@ def _decode_function_body(
         instr: Instruction = object.__new__(cls)
         instr.type = _decode_type(ty, structs)
         instr.name = name
-        instr.uses = []
+        instr.uses = ()
         instr.operands = []
         instr.metadata = dict(metadata) if metadata else {}
         block = blocks[block_index]
@@ -345,9 +345,9 @@ def decode_module(data: dict) -> Module:
     for name in data["structs"]:
         structs[name] = StructType(name, [])
     for name, fields in data["structs"].items():
-        structs[name].fields = [
-            (fname, _decode_type(ftype, structs)) for fname, ftype in fields
-        ]
+        structs[name].set_fields(
+            [(fname, _decode_type(ftype, structs)) for fname, ftype in fields]
+        )
     for name in data.get("registered_structs", []):
         if name in structs:
             module.structs[name] = structs[name]

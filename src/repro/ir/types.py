@@ -16,14 +16,18 @@ the ``getelementptr`` instruction lowers to in every execution engine.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from bisect import bisect_right
+from typing import Iterable, Optional, Sequence, Tuple
 
-#: Monotonic counter bumped whenever a type is mutated in place (today only
-#: ``StructType.add_field``).  Consumers that memoize derived facts about
-#: types — ``repro.backends.runtime``'s GEP-offset tables — compare this
-#: epoch and drop their caches when it moves, because appending a field
-#: changes ``slot_count()`` and therefore every offset that scales by the
-#: whole aggregate (including transitively, via arrays of structs).
+#: Monotonic counter bumped whenever a type is mutated in place (only
+#: ``StructType.add_field`` and ``StructType.set_fields`` do).  Every memo of
+#: a derived type fact compares this epoch and recomputes when it moves: a
+#: struct's slot prefix offsets (``slot_count`` / ``field_slot_offset``),
+#: ``repro.ir.fingerprint.type_signature`` and ``repro.backends.runtime``'s
+#: GEP-offset tables.  Appending a field changes ``slot_count()`` and
+#: therefore every offset that scales by the whole aggregate (including
+#: transitively, via arrays of structs), so a mutation anywhere invalidates
+#: every memo.
 TYPE_MUTATION_EPOCH = 0
 
 
@@ -48,6 +52,14 @@ class IRType:
     is_aggregate = False
     #: True for the void type.
     is_void = False
+    #: ``(epoch, signature)`` memo of :func:`repro.ir.fingerprint.type_signature`,
+    #: valid while :data:`TYPE_MUTATION_EPOCH` equals ``epoch``.
+    _signature_memo: Tuple[int, str] = (-1, "")
+
+    def __getstate__(self) -> dict:
+        # Memos are keyed on this process's epoch counter; a pickled copy
+        # must recompute them rather than trust a foreign epoch.
+        return {k: v for k, v in self.__dict__.items() if not k.endswith("_memo")}
 
     def slot_count(self) -> int:
         """Number of scalar memory slots this type occupies when stored."""
@@ -150,10 +162,20 @@ class PointerType(IRType):
     is_scalar = True
     is_pointer = True
 
-    def __init__(self, pointee: IRType):
+    def __new__(cls, pointee: IRType):
+        # One pointer type object per pointee object: every GEP, load and
+        # alloca asks for one, and sharing them saves an allocation each.
         if pointee is None:
             raise ValueError("pointer must have a pointee type")
-        self.pointee = pointee
+        shared = pointee.__dict__.get("_pointer_memo")
+        if shared is None:
+            shared = super().__new__(cls)
+            shared.pointee = pointee
+            pointee._pointer_memo = shared
+        return shared
+
+    def __getnewargs__(self):
+        return (self.pointee,)
 
     def slot_count(self) -> int:
         return 1
@@ -165,7 +187,9 @@ class PointerType(IRType):
         return f"{self.pointee}*"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PointerType) and other.pointee == self.pointee
+        return other is self or (
+            isinstance(other, PointerType) and other.pointee == self.pointee
+        )
 
     def __hash__(self) -> int:
         return hash(("ptr", self.pointee))
@@ -193,7 +217,7 @@ class ArrayType(IRType):
         return f"[{self.count} x {self.element}]"
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, ArrayType)
             and other.count == self.count
             and other.element == self.element
@@ -214,26 +238,53 @@ class StructType(IRType):
     """
 
     is_aggregate = True
+    #: ``(epoch, prefix)``: ``prefix[i]`` is the slot offset of field ``i``
+    #: and ``prefix[-1]`` the struct's slot count, valid while
+    #: :data:`TYPE_MUTATION_EPOCH` equals ``epoch``.
+    _slot_prefix_memo: Tuple[int, list] = (-1, [])
+    #: Field name -> index, built on first use and kept in step with
+    #: ``fields`` by :meth:`add_field` / :meth:`set_fields`.
+    _field_index_memo: Optional[dict] = None
 
     def __init__(self, name: str, fields: Sequence[Tuple[str, IRType]] = ()):
         self.name = name
+        #: The ``(name, type)`` field list.  Never mutate it in place: use
+        #: :meth:`add_field` or :meth:`set_fields`, which bump
+        #: :data:`TYPE_MUTATION_EPOCH` so every memoised type fact is dropped.
         self.fields: list[Tuple[str, IRType]] = list(fields)
 
     # -- construction -------------------------------------------------
     def add_field(self, name: str, ftype: IRType) -> int:
         """Append a field and return its index."""
-        if any(existing == name for existing, _ in self.fields):
+        positions = self._positions()
+        if name in positions:
             raise ValueError(f"duplicate field {name!r} in struct {self.name}")
+        positions[name] = len(self.fields)
         self.fields.append((name, ftype))
         bump_type_mutation_epoch()
         return len(self.fields) - 1
 
+    def set_fields(self, fields: Sequence[Tuple[str, IRType]]) -> None:
+        """Replace the whole field list (e.g. when decoding a module)."""
+        self.fields = list(fields)
+        self._field_index_memo = None
+        bump_type_mutation_epoch()
+
     # -- queries ------------------------------------------------------
+    def _positions(self) -> dict:
+        """Field name -> index (first occurrence)."""
+        positions = self._field_index_memo
+        if positions is None:
+            positions = self._field_index_memo = {}
+            for i, (fname, _) in enumerate(self.fields):
+                positions.setdefault(fname, i)
+        return positions
+
     def field_index(self, name: str) -> int:
-        for i, (fname, _) in enumerate(self.fields):
-            if fname == name:
-                return i
-        raise KeyError(f"struct {self.name} has no field {name!r}")
+        try:
+            return self._positions()[name]
+        except KeyError:
+            raise KeyError(f"struct {self.name} has no field {name!r}") from None
 
     def field_type(self, index: int) -> IRType:
         return self.fields[index][1]
@@ -241,8 +292,19 @@ class StructType(IRType):
     def field_names(self) -> list[str]:
         return [name for name, _ in self.fields]
 
+    def _slot_prefix(self) -> list[int]:
+        epoch, prefix = self._slot_prefix_memo
+        if epoch != TYPE_MUTATION_EPOCH:
+            prefix = [0]
+            running = 0
+            for _, ftype in self.fields:
+                running += ftype.slot_count()
+                prefix.append(running)
+            self._slot_prefix_memo = (TYPE_MUTATION_EPOCH, prefix)
+        return prefix
+
     def slot_count(self) -> int:
-        return sum(ftype.slot_count() for _, ftype in self.fields)
+        return self._slot_prefix()[-1]
 
     def field_slot_offset(self, index: int) -> int:
         """Linear slot offset of field ``index`` within the struct."""
@@ -250,7 +312,19 @@ class StructType(IRType):
             raise IndexError(
                 f"field index {index} out of range for struct {self.name}"
             )
-        return sum(ftype.slot_count() for _, ftype in self.fields[:index])
+        return self._slot_prefix()[index]
+
+    def field_at_slot(self, slot: int) -> Tuple[int, int]:
+        """``(field index, slot within that field)`` of linear slot ``slot``.
+
+        Zero-slot fields never contain a slot.  Raises :class:`IndexError`
+        when ``slot`` lies outside the struct.
+        """
+        prefix = self._slot_prefix()
+        if slot < 0 or slot >= prefix[-1]:
+            raise IndexError(f"slot {slot} out of range for struct {self.name}")
+        index = bisect_right(prefix, slot) - 1
+        return index, slot - prefix[index]
 
     def __str__(self) -> str:
         return f"%{self.name}"
@@ -261,7 +335,7 @@ class StructType(IRType):
         return f"%{self.name} = type {{ {body} }}"
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, StructType)
             and other.name == self.name
             and other.fields == self.fields
@@ -286,7 +360,7 @@ class FunctionType(IRType):
         return f"{self.return_type} ({params})"
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, FunctionType)
             and other.return_type == self.return_type
             and other.param_types == self.param_types

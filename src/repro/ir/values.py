@@ -10,9 +10,9 @@ scanning the whole module.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .types import BOOL, F32, F64, IRType, IntType, FloatType
+from .types import BOOL, F32, F64, I64, IRType, IntType, FloatType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .instructions import Instruction
@@ -36,18 +36,24 @@ class Value:
         self.name = name
         #: Instructions that use this value as an operand.  An instruction may
         #: appear multiple times if it uses the value in several operand slots.
-        self.uses: list["Instruction"] = []
+        #: An empty tuple until the first use: values that are never used
+        #: (stores, branches, void calls) allocate no list.
+        self.uses: Sequence["Instruction"] = ()
 
     # -- use bookkeeping ------------------------------------------------
     def add_use(self, user: "Instruction") -> None:
-        self.uses.append(user)
+        if self.uses:
+            self.uses.append(user)
+        else:
+            self.uses = [user]
 
     def remove_use(self, user: "Instruction") -> None:
         # Remove a single occurrence; operand replacement handles multiplicity.
-        try:
-            self.uses.remove(user)
-        except ValueError:
-            pass
+        if self.uses:
+            try:
+                self.uses.remove(user)
+            except ValueError:
+                pass
 
     def replace_all_uses_with(self, new: "Value") -> None:
         """Rewrite every user of ``self`` to use ``new`` instead."""
@@ -66,7 +72,11 @@ class Value:
 
 
 class Constant(Value):
-    """A compile-time constant scalar value."""
+    """A compile-time constant scalar value.
+
+    Constants keep no use list (``uses`` stays empty): no pass walks the
+    users of a constant, and a compiled model holds thousands of them.
+    """
 
     __slots__ = ("value",)
 
@@ -79,6 +89,12 @@ class Constant(Value):
         elif ty.is_float:
             value = float(value)
         self.value = value
+
+    def add_use(self, user: "Instruction") -> None:
+        pass
+
+    def remove_use(self, user: "Instruction") -> None:
+        pass
 
     def ref(self) -> str:
         if self.type.is_float:
@@ -136,8 +152,6 @@ def const_float(value: float, ty: FloatType = F64) -> Constant:
 
 def const_int(value: int, ty: IntType | None = None) -> Constant:
     """An integer constant (defaults to i64)."""
-    from .types import I64
-
     return Constant(ty if ty is not None else I64, int(value))
 
 

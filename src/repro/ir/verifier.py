@@ -178,25 +178,25 @@ def _verify_function(fn: Function) -> List[Diagnostic]:
 
             # Operand availability ----------------------------------------------
             for op in instr.operands:
+                if id(op) in defined:  # this function's arguments/instructions
+                    continue
                 if isinstance(op, (Constant, UndefValue)):
                     continue
                 if isinstance(op, Argument):
-                    if op not in fn.args:
-                        out.report(
-                            f"{instr.ref()} uses argument {op.ref()} "
-                            f"from another function",
-                            block=block,
-                            instr=instr,
-                        )
+                    out.report(
+                        f"{instr.ref()} uses argument {op.ref()} "
+                        f"from another function",
+                        block=block,
+                        instr=instr,
+                    )
                     continue
                 if isinstance(op, Instruction):
-                    if id(op) not in defined:
-                        out.report(
-                            f"{instr.ref()} uses {op.ref()} which is "
-                            f"not defined in this function",
-                            block=block,
-                            instr=instr,
-                        )
+                    out.report(
+                        f"{instr.ref()} uses {op.ref()} which is "
+                        f"not defined in this function",
+                        block=block,
+                        instr=instr,
+                    )
                     continue
                 out.report(
                     f"{instr.ref()} has unexpected operand {op!r}",
@@ -204,7 +204,10 @@ def _verify_function(fn: Function) -> List[Diagnostic]:
                     instr=instr,
                 )
 
-            _verify_instruction_types(out, block, instr)
+            check = _TYPE_CHECKS.get(type(instr))
+            if check is not None:
+                for message in check(instr) or ():
+                    out.report(message, block=block, instr=instr)
 
             # Branch targets must belong to this function ------------------------
             if isinstance(instr, (Branch, CondBranch)):
@@ -262,74 +265,115 @@ def _verify_function(fn: Function) -> List[Diagnostic]:
     return out.diagnostics
 
 
-def _verify_instruction_types(out: _Reporter, block: BasicBlock,
-                              instr: Instruction) -> None:
-    def err(msg: str) -> None:
-        out.report(msg, block=block, instr=instr)
+# Per-class type checks: each returns the messages of the violations found
+# (``None`` when there are none).
 
-    if isinstance(instr, BinaryOp):
-        lhs, rhs = instr.lhs, instr.rhs
-        if lhs.type != rhs.type:
-            err(f"{instr.opcode} operands have mismatched types")
-        if instr.opcode.startswith("f") and not lhs.type.is_float:
-            err(f"{instr.opcode} requires float operands, got {lhs.type}")
-        if not instr.opcode.startswith("f") and not lhs.type.is_int:
-            err(f"{instr.opcode} requires integer operands, got {lhs.type}")
-    elif isinstance(instr, FCmp):
-        if not instr.lhs.type.is_float:
-            err("fcmp requires float operands")
-        if instr.lhs.type != instr.rhs.type:
-            err("fcmp operands have mismatched types")
-    elif isinstance(instr, ICmp):
-        if not instr.lhs.type.is_int:
-            err("icmp requires integer operands")
-        if instr.lhs.type != instr.rhs.type:
-            err("icmp operands have mismatched types")
-    elif isinstance(instr, Select):
-        if not instr.condition.type.is_int:
-            err("select condition must be an integer/boolean")
-        if instr.true_value.type != instr.false_value.type:
-            err("select arms have mismatched types")
-    elif isinstance(instr, Load):
-        if not instr.pointer.type.is_pointer:
-            err("load operand must be a pointer")
-        elif instr.type != instr.pointer.type.pointee:
-            err("load result type does not match pointee type")
-    elif isinstance(instr, Store):
-        if not instr.pointer.type.is_pointer:
-            err("store target must be a pointer")
-        elif instr.value.type != instr.pointer.type.pointee:
-            err(
-                f"store of {instr.value.type} into pointer to "
-                f"{instr.pointer.type.pointee}"
+
+def _check_binop(instr: BinaryOp) -> Optional[List[str]]:
+    lhs, rhs = instr.lhs, instr.rhs
+    errors = []
+    if lhs.type != rhs.type:
+        errors.append(f"{instr.opcode} operands have mismatched types")
+    if instr.opcode.startswith("f"):
+        if not lhs.type.is_float:
+            errors.append(f"{instr.opcode} requires float operands, got {lhs.type}")
+    elif not lhs.type.is_int:
+        errors.append(f"{instr.opcode} requires integer operands, got {lhs.type}")
+    return errors or None
+
+
+def _check_compare(instr) -> Optional[List[str]]:
+    errors = []
+    kind = instr.opcode
+    if not (instr.lhs.type.is_float if kind == "fcmp" else instr.lhs.type.is_int):
+        errors.append(f"{kind} requires {'float' if kind == 'fcmp' else 'integer'} operands")
+    if instr.lhs.type != instr.rhs.type:
+        errors.append(f"{kind} operands have mismatched types")
+    return errors or None
+
+
+def _check_select(instr: Select) -> Optional[List[str]]:
+    errors = []
+    if not instr.condition.type.is_int:
+        errors.append("select condition must be an integer/boolean")
+    if instr.true_value.type != instr.false_value.type:
+        errors.append("select arms have mismatched types")
+    return errors or None
+
+
+def _check_load(instr: Load) -> Optional[List[str]]:
+    ptype = instr.pointer.type
+    if not ptype.is_pointer:
+        return ["load operand must be a pointer"]
+    if instr.type != ptype.pointee:
+        return ["load result type does not match pointee type"]
+    return None
+
+
+def _check_store(instr: Store) -> Optional[List[str]]:
+    ptype = instr.pointer.type
+    if not ptype.is_pointer:
+        return ["store target must be a pointer"]
+    if instr.value.type != ptype.pointee:
+        return [f"store of {instr.value.type} into pointer to {ptype.pointee}"]
+    return None
+
+
+def _check_gep(instr: GEP) -> Optional[List[str]]:
+    ptype = instr.pointer.type
+    if not ptype.is_pointer:
+        return ["gep base must be a pointer"]
+    try:
+        expected = GEP.resolve_type(ptype.pointee, instr.indices)
+    except (TypeError, IndexError, KeyError) as exc:
+        return [f"invalid gep indices: {exc}"]
+    if instr.type.pointee != expected:
+        return ["gep result type does not match addressed member"]
+    return None
+
+
+def _check_condbranch(instr: CondBranch) -> Optional[List[str]]:
+    if not instr.condition.type.is_int:
+        return ["conditional branch condition must be i1"]
+    return None
+
+
+def _check_call(instr: Call) -> Optional[List[str]]:
+    errors = []
+    for i, (arg, expected) in enumerate(zip(instr.operands, instr.callee.type.param_types)):
+        if arg.type != expected:
+            errors.append(
+                f"call to @{instr.callee.name}: argument {i} has type "
+                f"{arg.type}, expected {expected}"
             )
-    elif isinstance(instr, GEP):
-        if not instr.pointer.type.is_pointer:
-            err("gep base must be a pointer")
-        else:
-            try:
-                expected = GEP.resolve_type(instr.pointer.type.pointee, instr.indices)
-                if instr.type.pointee != expected:
-                    err("gep result type does not match addressed member")
-            except (TypeError, IndexError, KeyError) as exc:
-                err(f"invalid gep indices: {exc}")
-    elif isinstance(instr, CondBranch):
-        if not instr.condition.type.is_int:
-            err("conditional branch condition must be i1")
-    elif isinstance(instr, Call):
-        ftype = instr.callee.type
-        for i, (arg, expected) in enumerate(zip(instr.args, ftype.param_types)):
-            if arg.type != expected:
-                err(
-                    f"call to @{instr.callee.name}: argument {i} has type "
-                    f"{arg.type}, expected {expected}"
-                )
-    elif isinstance(instr, Cast):
-        src, dst = instr.value.type, instr.type
-        if instr.opcode == "sitofp" and not (src.is_int and dst.is_float):
-            err("sitofp requires int -> float")
-        if instr.opcode == "fptosi" and not (src.is_float and dst.is_int):
-            err("fptosi requires float -> int")
-    elif isinstance(instr, Alloca):
-        if not instr.type.is_pointer:
-            err("alloca must produce a pointer")
+    return errors or None
+
+
+def _check_cast(instr: Cast) -> Optional[List[str]]:
+    src, dst = instr.value.type, instr.type
+    if instr.opcode == "sitofp" and not (src.is_int and dst.is_float):
+        return ["sitofp requires int -> float"]
+    if instr.opcode == "fptosi" and not (src.is_float and dst.is_int):
+        return ["fptosi requires float -> int"]
+    return None
+
+
+def _check_alloca(instr: Alloca) -> Optional[List[str]]:
+    if not instr.type.is_pointer:
+        return ["alloca must produce a pointer"]
+    return None
+
+
+_TYPE_CHECKS = {
+    BinaryOp: _check_binop,
+    FCmp: _check_compare,
+    ICmp: _check_compare,
+    Select: _check_select,
+    Load: _check_load,
+    Store: _check_store,
+    GEP: _check_gep,
+    CondBranch: _check_condbranch,
+    Call: _check_call,
+    Cast: _check_cast,
+    Alloca: _check_alloca,
+}

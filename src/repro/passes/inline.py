@@ -10,12 +10,12 @@ single-call-site functions are inlined under a size threshold.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.instructions import Branch, Call, Phi, Return
 from ..ir.module import BasicBlock, Function, Module
-from ..ir.values import Constant, UndefValue, Value
-from .cloning import clone_instruction
+from ..ir.values import UndefValue, Value
+from .cloning import clone_instruction, patch_forward_references
 from ..driver.registry import register_pass
 from .pass_base import ModulePass
 
@@ -78,23 +78,32 @@ class Inliner(ModulePass):
     # -- heuristics -------------------------------------------------------------
     _count_call_sites = staticmethod(count_call_sites)
 
-    def _should_inline(self, caller: Function, callee: Function, call_counts: Dict[str, int]) -> bool:
+    def _should_inline(
+        self,
+        caller: Function,
+        callee: Function,
+        call_counts: Dict[str, int],
+        facts: Dict[Function, Tuple[int, bool]],
+    ) -> bool:
+        """``facts`` memoises each callee's ``(size, recursive)`` for one sweep
+        over ``caller``; inlining into ``caller`` never changes a callee."""
         if callee.is_declaration:
             return False
         if callee is caller:
             return False
         if callee.attributes.get("noinline"):
             return False
-        if self.aggressive:
-            return not self._is_recursive(callee)
-        if callee.attributes.get("alwaysinline"):
-            return not self._is_recursive(callee)
-        size = callee.instruction_count()
+        known = facts.get(callee)
+        if known is None:
+            known = facts[callee] = (callee.instruction_count(), self._is_recursive(callee))
+        size, recursive = known
+        if recursive:
+            return False
+        if self.aggressive or callee.attributes.get("alwaysinline"):
+            return True
         if size <= self.threshold:
-            return not self._is_recursive(callee)
-        if call_counts.get(callee.name, 0) == 1 and size <= self.threshold * 4:
-            return not self._is_recursive(callee)
-        return False
+            return True
+        return call_counts.get(callee.name, 0) == 1 and size <= self.threshold * 4
 
     @staticmethod
     def _is_recursive(function: Function) -> bool:
@@ -105,93 +114,108 @@ class Inliner(ModulePass):
 
     # -- mechanics ----------------------------------------------------------------
     def _inline_calls_in(self, caller: Function, call_counts: Dict[str, int]) -> bool:
-        changed = False
-        for block in list(caller.blocks):
-            for instr in list(block.instructions):
-                if not isinstance(instr, Call):
-                    continue
-                if instr.parent is None:
-                    continue
-                if self._should_inline(caller, instr.callee, call_counts):
-                    self.inline_call(instr)
-                    changed = True
-        return changed
+        """Inline every qualifying call site of ``caller``'s current blocks.
+
+        Calls in the inlined bodies are left for the next round.  The block
+        list is rebuilt once at the end instead of splicing per call site.
+        """
+        facts: Dict[Function, Tuple[int, bool]] = {}
+        blocks: List[BasicBlock] = []
+        for block in caller.blocks:
+            blocks.append(block)
+            sites = [
+                index
+                for index, instr in enumerate(block.instructions)
+                if isinstance(instr, Call)
+                and self._should_inline(caller, instr.callee, call_counts, facts)
+            ]
+            if sites:
+                blocks.extend(self._inline_sites(block, sites))
+        if len(blocks) == len(caller.blocks):
+            return False
+        caller.blocks = blocks
+        caller.notify_mutation()
+        return True
 
     @staticmethod
-    def inline_call(call: Call) -> None:
-        """Inline one call site in place."""
-        caller_block = call.parent
-        if caller_block is None:
-            raise ValueError("call instruction is not attached to a block")
-        caller = caller_block.parent
-        callee = call.callee
-        if callee.is_declaration:
-            raise ValueError(f"cannot inline declaration @{callee.name}")
+    def _inline_sites(block: BasicBlock, sites: List[int]) -> List[BasicBlock]:
+        """Inline the calls at instruction indices ``sites`` (ascending) of
+        ``block``; return the new blocks that follow ``block``, in order.
 
-        # 1. Split the caller block at the call site.
-        call_index = caller_block.instructions.index(call)
-        continuation = BasicBlock(caller.next_name("inl.cont"), caller)
-        trailing = caller_block.instructions[call_index + 1 :]
-        caller_block.instructions = caller_block.instructions[: call_index + 1]
-        for instr in trailing:
-            continuation.append(instr)
-        insert_at = caller.blocks.index(caller_block) + 1
-        caller.blocks.insert(insert_at, continuation)
+        Each call site ends its block: the instructions after it move, once,
+        into a continuation block that the inlined body's returns branch to
+        and that holds the next call site.  The caller's block list is left
+        to the caller to update.
+        """
+        caller = block.parent
+        instructions = block.instructions
+        bounds = sites[1:] + [len(instructions) - 1]
+        segments = [instructions[site + 1 : end + 1] for site, end in zip(sites, bounds)]
+        del instructions[sites[0] + 1 :]
+        new_blocks: List[BasicBlock] = []
+        holder = block
+        for segment in segments:
+            call = holder.instructions[-1]
+            callee = call.callee
+            continuation = BasicBlock(caller.next_name("inl.cont"), caller)
+            continuation.instructions = segment
+            for instr in segment:
+                instr.parent = continuation
 
-        # Successor phis must now refer to the continuation block.
-        for succ in continuation.successors():
+            # Clone callee blocks into the caller; only the clones can
+            # reference callee values, so only they need patching.
+            vmap: Dict[int, Value] = {}
+            for formal, actual in zip(callee.args, call.args):
+                vmap[id(formal)] = actual
+            cloned_blocks = []
+            for src_block in callee.blocks:
+                new_block = BasicBlock(caller.next_name(f"inl.{callee.name}"), caller)
+                vmap[id(src_block)] = new_block
+                cloned_blocks.append(new_block)
+            for src_block, new_block in zip(callee.blocks, cloned_blocks):
+                for instr in src_block.instructions:
+                    new_block.append(clone_instruction(instr, vmap))
+            patch_forward_references(cloned_blocks, vmap)
+
+            # Rewrite returns into branches to the continuation; collect values.
+            return_values: list[tuple[Value, BasicBlock]] = []
+            for new_block in cloned_blocks:
+                term = new_block.terminator
+                if isinstance(term, Return):
+                    if term.value is not None:
+                        return_values.append((term.value, new_block))
+                    term.erase()
+                    new_block.append(Branch(continuation))
+
+            # Replace the call's value with the merged return value.
+            if not call.type.is_void:
+                if len(return_values) == 1:
+                    replacement: Value = return_values[0][0]
+                elif return_values:
+                    phi = Phi(call.type, caller.next_name("inl.ret"))
+                    continuation.insert(0, phi)
+                    for value, ret_block in return_values:
+                        phi.add_incoming(value, ret_block)
+                    replacement = phi
+                else:
+                    replacement = UndefValue(call.type)
+                call.replace_all_uses_with(replacement)
+
+            # Branch from the call's block into the inlined entry.
+            call.erase()
+            holder.append(Branch(vmap[id(callee.entry_block)]))
+            new_blocks.extend(cloned_blocks)
+            new_blocks.append(continuation)
+            holder = continuation
+
+        # The original terminator now ends the last continuation: successor
+        # phis must name it as their incoming block.
+        for succ in holder.successors():
             for phi in succ.phis():
                 for i, pred in enumerate(phi.incoming_blocks):
-                    if pred is caller_block:
-                        phi.incoming_blocks[i] = continuation
-
-        # 2. Clone callee blocks into the caller.
-        vmap: Dict[int, Value] = {}
-        for formal, actual in zip(callee.args, call.args):
-            vmap[id(formal)] = actual
-        cloned_blocks = []
-        for i, block in enumerate(callee.blocks):
-            new_block = BasicBlock(caller.next_name(f"inl.{callee.name}"), caller)
-            vmap[id(block)] = new_block
-            cloned_blocks.append(new_block)
-        for src_block, new_block in zip(callee.blocks, cloned_blocks):
-            for instr in src_block.instructions:
-                new_block.append(clone_instruction(instr, vmap))
-        from .cloning import _patch_forward_references
-
-        for offset, new_block in enumerate(cloned_blocks):
-            caller.blocks.insert(insert_at + offset, new_block)
-        _patch_forward_references(caller, vmap)
-
-        # 3. Rewrite returns into branches to the continuation; collect values.
-        return_values: list[tuple[Value, BasicBlock]] = []
-        for new_block in cloned_blocks:
-            term = new_block.terminator
-            if isinstance(term, Return):
-                if term.value is not None:
-                    return_values.append((term.value, new_block))
-                term.erase()
-                new_block.append(Branch(continuation))
-
-        # 4. Replace the call's value with the merged return value.
-        if not call.type.is_void:
-            if len(return_values) == 1:
-                replacement: Value = return_values[0][0]
-            elif return_values:
-                phi = Phi(call.type, caller.next_name("inl.ret"))
-                continuation.insert(0, phi)
-                phi.parent = continuation
-                for value, block in return_values:
-                    phi.add_incoming(value, block)
-                replacement = phi
-            else:
-                replacement = UndefValue(call.type)
-            call.replace_all_uses_with(replacement)
-
-        # 5. Branch from the caller block into the inlined entry and remove the call.
-        entry_clone = vmap[id(callee.entry_block)]
-        call.erase()
-        caller_block.append(Branch(entry_clone))
+                    if pred is block:
+                        phi.incoming_blocks[i] = holder
+        return new_blocks
 
 
 def inline_all_calls(module: Module, roots: Optional[list[str]] = None) -> None:

@@ -12,6 +12,8 @@ generator (and by other passes) small and analysable:
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ..ir.cfg import reachable_blocks
 from ..ir.instructions import Branch, CondBranch, Phi
 from ..ir.module import Function
@@ -100,20 +102,29 @@ class SimplifyCFG(FunctionPass):
         return True
 
     def _merge_linear_chains(self, function: Function) -> bool:
-        changed = False
-        merged = True
-        while merged:
-            merged = False
-            for block in list(function.blocks):
+        """Merge each block into its predecessor when that predecessor ends in
+        an unconditional branch to it and no other edge enters it.
+
+        One sweep in block order: each block absorbs its successor chain link
+        by link.  The in-edge counts are taken once — a merge only renames
+        the source of the absorbed block's out-edges, so no other count
+        moves — and the absorbed blocks leave the block list in one rebuild.
+        """
+        if not function.blocks:
+            return False
+        in_edges = Counter(succ for block in function.blocks for succ in block.successors())
+        entry = function.entry_block
+        absorbed = set()
+        for block in function.blocks:
+            if block in absorbed:
+                continue
+            while True:
                 term = block.terminator
                 if not isinstance(term, Branch):
-                    continue
+                    break
                 succ = term.target
-                if succ is block or succ is function.entry_block:
-                    continue
-                preds = succ.predecessors()
-                if len(preds) != 1 or preds[0] is not block:
-                    continue
+                if succ is block or succ is entry or in_edges[succ] != 1:
+                    break
                 # Rewrite phis in the successor: with a single predecessor the
                 # phi is just its single incoming value.
                 for phi in list(succ.phis()):
@@ -123,10 +134,13 @@ class SimplifyCFG(FunctionPass):
                     phi.replace_all_uses_with(incoming)
                     phi.erase()
                 else:
-                    term.erase()
-                    for instr in list(succ.instructions):
-                        succ.instructions.remove(instr)
-                        block.append(instr)
+                    block.instructions.pop()
+                    term.parent = None
+                    moved = succ.instructions
+                    for instr in moved:
+                        instr.parent = block
+                    block.instructions.extend(moved)
+                    succ.instructions = []
                     # Successors of the merged block now flow from `block`;
                     # fix their phis to refer to `block` instead of `succ`.
                     for nxt in block.successors():
@@ -134,8 +148,12 @@ class SimplifyCFG(FunctionPass):
                             for i, pred in enumerate(phi.incoming_blocks):
                                 if pred is succ:
                                     phi.incoming_blocks[i] = block
-                    function.blocks.remove(succ)
-                    merged = True
-                    changed = True
-                    break
-        return changed
+                    absorbed.add(succ)
+                    continue
+                break
+        if not absorbed:
+            return False
+        function.blocks = [b for b in function.blocks if b not in absorbed]
+        # Raw list surgery bypasses the per-instruction mutation hooks.
+        function.notify_mutation()
+        return True

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.backends.grid_driver import allocation_for_index, grid_strides, select_best
-from repro.bench.harness import FigureReport, figure3_report, figure6_report
+from repro.bench.harness import (
+    FigureReport,
+    figure3_report,
+    figure6_report,
+    figure7_scale_report,
+    loglog_exponent,
+)
 from repro.cogframe.prng import CounterRNG
 
 
@@ -29,6 +35,17 @@ class TestHarnessReports:
         assert len(report.rows) == 2
         assert report.rows[1]["equivalent"] is True
         assert report.rows[0]["equivalent"] is False
+
+    def test_loglog_exponent_recovers_power_laws(self):
+        assert loglog_exponent([(n, 3.0 * n**2) for n in (10, 20, 80)]) == pytest.approx(2.0)
+        assert loglog_exponent([(n, 0.5 * n) for n in (50, 100, 200, 500)]) == pytest.approx(1.0)
+
+    def test_figure7_scale_reports_the_scaling_exponent(self):
+        report = figure7_scale_report(sizes=(12, 24), edit_point=24)
+        full = [(r["mechanisms"], r["seconds"]) for r in report.rows if r["mode"] == "full"]
+        (note,) = [n for n in report.notes if "grow as mechanisms^" in n]
+        assert f"mechanisms^{loglog_exponent(full):.2f}" in note
+        assert "target under 5 s" not in note  # only reported with a 500-mechanism row
 
     def test_figure6_rows(self):
         report = figure6_report()

@@ -135,3 +135,125 @@ class TestFunctionTypes:
     def test_not_storable(self):
         with pytest.raises(TypeError):
             FunctionType(F64, []).slot_count()
+
+
+class TestMemoisedTypeFacts:
+    """Derived type facts are memoised per type object and dropped whenever
+    ``TYPE_MUTATION_EPOCH`` moves."""
+
+    @staticmethod
+    def _nested():
+        inner = StructType("inner", [("u", F64)])
+        outer = StructType("outer", [("head", F64), ("body", inner), ("tail", ArrayType(inner, 2))])
+        return inner, outer
+
+    def test_add_field_invalidates_slot_layout(self):
+        inner, outer = self._nested()
+        assert outer.slot_count() == 1 + 1 + 2
+        assert outer.field_slot_offset(2) == 2
+        assert outer.field_at_slot(3) == (2, 1)
+        inner.add_field("v", I64)
+        assert inner.slot_count() == 2
+        assert outer.slot_count() == 1 + 2 + 4
+        assert outer.field_slot_offset(2) == 3
+        assert outer.field_at_slot(3) == (2, 0)
+        assert outer.field_at_slot(6) == (2, 3)
+        with pytest.raises(IndexError):
+            outer.field_at_slot(7)
+
+    def test_field_at_slot_skips_empty_fields(self):
+        s = StructType("s", [("none", ArrayType(F64, 0)), ("a", F64), ("b", ArrayType(F64, 3))])
+        assert [s.field_at_slot(i) for i in range(4)] == [(1, 0), (2, 0), (2, 1), (2, 2)]
+
+    def test_add_field_invalidates_type_signature(self):
+        from repro.ir import type_signature
+
+        inner, outer = self._nested()
+        ptr = PointerType(outer)
+        before = type_signature(ptr)
+        assert before == "%outer{head:double,body:%inner{u:double},tail:[2x%inner{u:double}]}*"
+        inner.add_field("v", I64)
+        assert type_signature(ptr) == (
+            "%outer{head:double,body:%inner{u:double,v:i64},tail:[2x%inner{u:double,v:i64}]}*"
+        )
+
+    def test_recursive_struct_signature_is_cut_and_stable(self):
+        from repro.ir import type_signature
+
+        node = StructType("node", [("value", F64)])
+        node.add_field("next", PointerType(node))
+        assert type_signature(node) == "%node{value:double,next:%node*}"
+        assert type_signature(PointerType(node)) == "%node{value:double,next:%node*}*"
+        holder = StructType("holder", [("n", node)])
+        assert type_signature(holder) == "%holder{n:%node{value:double,next:%node*}}"
+        assert type_signature(node) == "%node{value:double,next:%node*}"
+
+    def test_function_fingerprint_follows_struct_mutation(self):
+        from repro.ir import IRBuilder, Module, function_fingerprint
+
+        inner, outer = self._nested()
+        m = Module("t")
+        fn = m.add_function("f", FunctionType(F64, [PointerType(outer)]), ["p"])
+        b = IRBuilder(fn.append_block("entry"))
+        b.ret(b.load(b.gep(fn.args[0], [0, 0])))
+        before = function_fingerprint(fn)
+        assert function_fingerprint(fn) == before
+        inner.add_field("v", I64)
+        assert function_fingerprint(fn) != before
+
+    def test_set_fields_invalidates_memos(self):
+        from repro.ir import type_signature
+        from repro.ir import types as ir_types
+
+        s = StructType("s", [("a", F64)])
+        assert s.slot_count() == 1 and type_signature(s) == "%s{a:double}"
+        epoch = ir_types.TYPE_MUTATION_EPOCH
+        s.set_fields([("a", F64), ("b", ArrayType(F64, 4))])
+        assert ir_types.TYPE_MUTATION_EPOCH > epoch
+        assert s.slot_count() == 5
+        assert s.field_index("b") == 1
+        assert type_signature(s) == "%s{a:double,b:[4xdouble]}"
+
+    def test_decoded_module_offsets_match_the_encoded_module(self):
+        from repro.ir import IRBuilder, Module, type_signature
+        from repro.ir import types as ir_types
+        from repro.ir.serialize import decode_module, encode_module
+
+        inner, outer = self._nested()
+        inner.add_field("v", I64)
+        m = Module("t")
+        m.add_struct(outer)
+        m.add_struct(inner)
+        fn = m.add_function("f", FunctionType(F64, [PointerType(outer)]), ["p"])
+        b = IRBuilder(fn.append_block("entry"))
+        b.ret(b.load(b.gep(fn.args[0], [0, 2, 1, 0])))
+        epoch = ir_types.TYPE_MUTATION_EPOCH
+        decoded = decode_module(encode_module(m))
+        assert ir_types.TYPE_MUTATION_EPOCH > epoch  # decoding sets fields through set_fields
+        copy = decoded.get_struct("outer")
+        assert copy is not outer
+        assert copy.slot_count() == outer.slot_count() == 7
+        assert [copy.field_slot_offset(i) for i in range(3)] == [0, 1, 3]
+        assert [copy.field_slot_offset(i) for i in range(3)] == [
+            outer.field_slot_offset(i) for i in range(3)
+        ]
+        assert type_signature(copy) == type_signature(outer)
+
+    def test_memos_do_not_survive_pickling(self):
+        import pickle
+
+        inner, outer = self._nested()
+        assert outer.slot_count() == 4
+        copy = pickle.loads(pickle.dumps(outer))
+        assert "_slot_prefix_memo" not in vars(copy)
+        assert copy.slot_count() == 4 and copy == outer
+
+    def test_pointer_types_are_shared_per_pointee(self):
+        import pickle
+
+        s = StructType("s", [("a", F64)])
+        assert PointerType(s) is PointerType(s)
+        assert PointerType(F64) is PointerType(F64)
+        assert PointerType(PointerType(F64)) is PointerType(PointerType(F64))
+        copy = pickle.loads(pickle.dumps(PointerType(s)))
+        assert copy == PointerType(s) and copy.pointee.fields == s.fields

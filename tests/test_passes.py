@@ -2,6 +2,7 @@
 against the interpreter (the optimised program must compute the same values)."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,8 @@ from repro.ir import (
     Module,
     verify_module,
 )
-from repro.ir.instructions import Alloca, Load, Phi, Store
+from repro.ir.instructions import Alloca, Instruction, Load, Phi, Store
+from repro.ir.module import BasicBlock
 from repro.passes import (
     CommonSubexpressionElimination,
     ConstantPropagation,
@@ -393,3 +395,132 @@ class TestStandardPipelines:
         assert pm.timings
         assert pm.total_seconds() >= 0.0
         assert "mem2reg" in pm.describe()
+
+
+class TestPassWorkScaling:
+    """Deterministic work counts, not seconds: a pass's work follows what it
+    changes, not the size of the function around it."""
+
+    @staticmethod
+    def _count_operand_reads(monkeypatch):
+        """Count every read of ``Instruction.operands`` from now on."""
+        slot = Instruction.__dict__["operands"]
+        reads = [0]
+
+        class CountingSlot:
+            def __get__(self, instr, owner=None):
+                if instr is None:
+                    return self
+                reads[0] += 1
+                return slot.__get__(instr, owner)
+
+            def __set__(self, instr, value):
+                slot.__set__(instr, value)
+
+        monkeypatch.setattr(Instruction, "operands", CountingSlot())
+        return reads
+
+    @staticmethod
+    def _caller_with_call_sites(filler: int, sites: int) -> Module:
+        m = Module("t")
+        callee = build_affine_function(m, "callee")
+        callee.attributes["alwaysinline"] = True
+        caller = m.add_function("caller", FunctionType(F64, [F64, F64]), ["x", "y"])
+        b = IRBuilder(caller.append_block("entry"))
+        x, y = caller.args
+        acc = x
+        for _ in range(filler):
+            acc = b.fadd(acc, y)
+        for _ in range(sites):
+            acc = b.fadd(acc, b.call(callee, [x, y]))
+        b.ret(acc)
+        return m
+
+    def test_inlining_work_follows_callee_size_not_caller_size(self, monkeypatch):
+        sites, filler = 16, 100
+        modules = [self._caller_with_call_sites(n, sites) for n in (filler, 4 * filler)]
+        callee_size = modules[0].get_function("callee").instruction_count()
+        reads = self._count_operand_reads(monkeypatch)
+        counts = []
+        for m in modules:
+            reads[0] = 0
+            Inliner().run(m)
+            counts.append(reads[0])
+        monkeypatch.undo()
+        for m in modules:
+            verify_module(m)
+            assert not any(i.opcode == "call" for i in m.get_function("caller").instructions())
+        # 300 more caller instructions may cost at most one read each in
+        # total — not one per call site (the whole-caller rescan did).
+        assert counts[1] - counts[0] <= 3 * filler, counts
+        assert counts[0] <= 16 * sites * callee_size, counts
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_simplifycfg_merges_a_chain_without_predecessor_scans(self, monkeypatch, order):
+        length = 64
+        m = Module("t")
+        fn = m.add_function("f", FunctionType(F64, [F64]), ["x"])
+        blocks = [fn.append_block(f"b{i}") for i in range(length)]
+        value = fn.args[0]
+        for i, block in enumerate(blocks):
+            b = IRBuilder(block)
+            value = b.fadd(value, value)
+            if i + 1 < length:
+                b.br(blocks[i + 1])
+            else:
+                b.ret(value)
+        if order == "reversed":
+            fn.blocks = [blocks[0]] + blocks[:0:-1]
+        expected = [fn.args[0].ref()] + [block.instructions[0].ref() for block in blocks]
+        scans = [0]
+        predecessors = BasicBlock.predecessors
+
+        def counting(self):
+            scans[0] += 1
+            return predecessors(self)
+
+        monkeypatch.setattr(BasicBlock, "predecessors", counting)
+        SimplifyCFG().run(m)
+        assert len(fn.blocks) == 1
+        assert scans[0] == 0
+        verify_module(m)
+        # The chain collapses into its head in chain order.
+        (merged,) = fn.blocks
+        assert merged is blocks[0]
+        adds = [i for i in merged.instructions if i.opcode == "fadd"]
+        assert [a.lhs.ref() for a in adds] == expected[:-1]
+
+    @staticmethod
+    def _cse_chain(depth: int, width: int = 8) -> Module:
+        """A straight chain of ``depth`` blocks (so a ``depth``-deep dominator
+        tree), each adding ``width`` new expressions and one duplicate."""
+        m = Module("t")
+        fn = m.add_function("f", FunctionType(F64, [F64, F64]), ["x", "y"])
+        x, y = fn.args
+        blocks = [fn.append_block(f"b{i}") for i in range(depth)]
+        acc = x
+        for i, block in enumerate(blocks):
+            b = IRBuilder(block)
+            for _ in range(width):
+                acc = b.fadd(acc, y)
+            acc = b.fmul(acc, b.fmul(x, y))
+            if i + 1 < depth:
+                b.br(blocks[i + 1])
+            else:
+                b.ret(acc)
+        return m
+
+    def test_cse_keeps_one_scope_for_a_deep_dominator_chain(self):
+        peaks = []
+        for depth in (40, 160):
+            m = self._cse_chain(depth)
+            tracemalloc.start()
+            CommonSubexpressionElimination().run(m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            verify_module(m)
+            muls = [i for i in m.get_function("f").instructions() if i.opcode == "fmul"]
+            assert len(muls) == depth + 1  # every x*y after the first merged
+        # A copied scope per block grows with depth squared (16x for 4x the
+        # depth); one scoped table with an undo log grows linearly.
+        assert peaks[1] < 8 * peaks[0], peaks
