@@ -11,8 +11,11 @@ pointers, counter-based PRNG intrinsics) defined in
   analogue in this reproduction.
 * :mod:`repro.backends.multicore` — partitions grid-search parallel regions
   across processes/threads.
-* :mod:`repro.backends.gpu_sim` — SIMT execution simulator with an
-  occupancy/latency model (stands in for the NVPTX/CUDA path).
+* :mod:`repro.backends.lane` — lowers every function to numpy lane
+  programs; the ``lane`` engine runs batch elements as lanes.
+* :mod:`repro.backends.gpu_sim` — runs grid kernels as lane programs, one
+  lane per grid point, with an occupancy/latency model (stands in for the
+  NVPTX/CUDA path).
 
 Each backend module registers an :class:`repro.driver.ExecutionEngine` with
 the driver's backend registry (``compiled``, ``per-node``, ``ir-interp``,

@@ -30,10 +30,12 @@ Execution model
   through the scalar compiled program (:func:`_per_lane`), recorded in
   ``lane_fallbacks`` — correctness never depends on lane-lowerability.
 
-The module has two halves: the ``LANE_NAMESPACE`` runtime helpers that the
-generated lane source links against, and the ``lane`` execution engine that
-stacks ``run_batch`` elements onto the lane axis (with an optional
-mcpu-style persistent worker pool running lane chunks).
+The module has three parts: the ``LANE_NAMESPACE`` runtime helpers that the
+generated lane source links against; the per-model :class:`LaneProgram`,
+shared by the ``lane`` engine and by ``gpu-sim`` (which runs the grid kernels
+with one lane per grid point); and the ``lane`` execution engine that stacks
+``run_batch`` elements onto the lane axis (with an optional mcpu-style
+persistent worker pool running lane chunks).
 """
 
 from __future__ import annotations
@@ -234,7 +236,8 @@ def _per_lane(scalar_fn, args, is_ptr, m):
     ``compiled`` engine uses, so results stay bitwise identical.  Pointer
     args are ``(buffer, offset)`` with 2-D lane buffers; each lane's row is
     extracted to a plain list (the scalar calling convention), mutated in
-    place, and written back.
+    place, and written back — except into read-only buffers, such as the
+    params row gpu-sim broadcasts to every lane.
     """
     n = len(m)
     results: Dict[int, object] = {}
@@ -260,7 +263,8 @@ def _per_lane(scalar_fn, args, is_ptr, m):
                 call_args.append(arg)
         result = scalar_fn(*call_args)
         for buf, row in rows.values():
-            buf[i, :] = row
+            if buf.flags.writeable:
+                buf[i, :] = row
         if result is not None:
             results[i] = result
     int_like = results and all(
@@ -401,19 +405,53 @@ from ..driver.engines import EngineCapabilities, EngineInstance, register_engine
 _BUFFER_KEYS = ("params", "state", "prev", "cur", "inputs", "results", "monitor")
 
 
+class LaneProgram:
+    """A compiled model's functions lowered to lane programs, by IR name.
+
+    One program exists per :class:`~repro.core.distill.CompiledModel`
+    (:func:`lane_program`): the ``lane`` engine runs its ``run_model``, and
+    ``gpu-sim`` runs the grid kernels with one lane per grid point.
+    """
+
+    def __init__(self, model):
+        from .pycodegen import LanePythonCodeGenerator
+
+        generator = LanePythonCodeGenerator(model.module)
+        self.source = generator.generate_source()
+        #: exec-namespace symbol -> generated name of the scalar callable it
+        #: binds to (rebuilt in pool workers from the scalar source).
+        self.scalar_links = {
+            symbol: f"ir_{ir_name}".replace(".", "_")
+            for symbol, ir_name in generator.scalar_symbols.items()
+        }
+        self.functions = generator.exec_source(
+            self.source,
+            {
+                symbol: model._compiled[ir_name]
+                for symbol, ir_name in generator.scalar_symbols.items()
+            },
+        )
+        #: IR name -> generated name (pool workers look functions up by it).
+        self.py_names = {
+            fn.name: generator._py_name(fn) for fn in model.module.defined_functions()
+        }
+        #: Functions emitted as per-lane scalar-dispatch wrappers (the lane
+        #: analogue of ``CompileStats.dispatch_fallbacks``).
+        self.fallbacks: List[str] = list(generator.lane_fallbacks)
+        self.fallback_reasons: Dict[str, str] = dict(generator.lane_fallback_reasons)
+
+
+def lane_program(model) -> LaneProgram:
+    """The :class:`LaneProgram` of a compiled model, built once per compile."""
+    return model.derived("lane_program", LaneProgram)
+
+
 class _LaneInstance(EngineInstance):
-    """A lane binding: lazily lane-compiles the model, stacks batches."""
+    """A lane binding: runs the model's lane program over stacked batches."""
 
     def __init__(self, engine_name: str, model):
         super().__init__(engine_name, model)
-        self._run_fn = None
-        self._lane_source: Optional[str] = None
-        self._run_py_name: Optional[str] = None
-        self._scalar_links: Dict[str, str] = {}
-        #: Functions emitted as per-lane scalar-dispatch wrappers (the lane
-        #: analogue of ``CompileStats.dispatch_fallbacks``).
-        self.lane_fallbacks: List[str] = []
-        self.lane_fallback_reasons: Dict[str, str] = {}
+        self._program: Optional[LaneProgram] = None
         #: Trials folded onto the lane axis so far (see :meth:`_fold_trials`).
         self.trials_folded = 0
         #: Trials of RNG models folded speculatively with extrapolated PRNG
@@ -429,30 +467,19 @@ class _LaneInstance(EngineInstance):
         self._pool_workers: Optional[int] = None
         self._finalizer = weakref.finalize(self, _close_pool, self._pool_holder)
 
+    @property
+    def lane_fallbacks(self) -> List[str]:
+        return self._program.fallbacks if self._program is not None else []
+
+    @property
+    def lane_fallback_reasons(self) -> Dict[str, str]:
+        return self._program.fallback_reasons if self._program is not None else {}
+
     # -- lane compilation ------------------------------------------------
     def _ensure_compiled(self):
-        if self._run_fn is None:
-            from .pycodegen import LanePythonCodeGenerator
-
-            generator = LanePythonCodeGenerator(self.model.module)
-            source = generator.generate_source()
-            extra = {
-                symbol: self.model._compiled[ir_name]
-                for symbol, ir_name in generator.scalar_symbols.items()
-            }
-            fns = generator.exec_source(source, extra)
-            self.lane_fallbacks = list(generator.lane_fallbacks)
-            self.lane_fallback_reasons = dict(generator.lane_fallback_reasons)
-            self._lane_source = source
-            self._run_py_name = generator._py_name(
-                self.model.module.functions["run_model"]
-            )
-            self._scalar_links = {
-                symbol: f"ir_{ir_name}".replace(".", "_")
-                for symbol, ir_name in generator.scalar_symbols.items()
-            }
-            self._run_fn = fns["run_model"]
-        return self._run_fn
+        if self._program is None:
+            self._program = lane_program(self.model)
+        return self._program.functions["run_model"]
 
     # -- buffer stacking -------------------------------------------------
     def _stack(self, elements) -> Dict[str, np.ndarray]:
@@ -712,12 +739,13 @@ class _LaneInstance(EngineInstance):
             return pool
         if pool is not None:
             _close_pool(self._pool_holder)
+        program = self._program
         payload = (
-            self._lane_source,
+            program.source,
             self.model.source,
-            self._scalar_links,
+            program.scalar_links,
             self.model.module.name,
-            self._run_py_name,
+            program.py_names["run_model"],
         )
         context = mp.get_context("spawn" if os.name == "nt" else "fork")
         pool = context.Pool(

@@ -34,7 +34,6 @@ from .grid_driver import (
     CandidateEvents,
     GridRequest,
     drive_elements,
-    run_with_grid_driver,
 )
 
 # ---------------------------------------------------------------------------
@@ -127,8 +126,8 @@ class MulticoreGridEvaluator:
 
     The pool is created lazily on the first evaluation and reused until
     :meth:`close` (or garbage collection); ``pool_starts`` counts how many
-    times a pool was actually constructed.  The evaluator still works as a
-    context manager for one-shot use (:func:`run_multicore`).
+    times a pool was actually constructed.  The evaluator also works as a
+    context manager for one-shot use.
     """
 
     def __init__(
@@ -254,22 +253,6 @@ class MulticoreGridEvaluator:
         return merged
 
 
-def run_multicore(compiled, buffers, num_trials: int, workers: Optional[int] = None) -> None:
-    """One-shot entry point (builds and tears down its own pool).
-
-    Persistent callers go through ``model.engine_instance("mcpu")`` or
-    ``Session.compile(..., target="mcpu")`` instead, which keep the pool
-    alive across calls.
-    """
-    if not compiled.grid_searches:
-        compiled._run_whole_compiled(buffers, num_trials)
-        return
-    with MulticoreGridEvaluator(compiled, workers=workers) as evaluator:
-        run_with_grid_driver(
-            compiled, buffers, num_trials, batch_evaluator=evaluator.evaluate_batch
-        )
-
-
 # ---------------------------------------------------------------------------
 # Engine registration (see repro.driver.engines)
 # ---------------------------------------------------------------------------
@@ -307,21 +290,15 @@ class _MulticoreInstance(EngineInstance):
         return self._evaluator.pool_starts if self._evaluator is not None else 0
 
     def execute(self, buffers, num_trials, **options):
-        if not self.model.grid_searches:
-            self.model._run_whole_compiled(buffers, num_trials)
-            return
-        evaluator = self._evaluator_for(options)
-        run_with_grid_driver(
-            self.model, buffers, num_trials, batch_evaluator=evaluator.evaluate_batch
-        )
+        self.execute_batch([(buffers, num_trials)], **options)
 
     def execute_batch(self, elements, **options):
-        if not self.model.grid_searches:
-            for buffers, num_trials in elements:
-                self.model._run_whole_compiled(buffers, num_trials)
-            return
-        evaluator = self._evaluator_for(options)
-        drive_elements(self.model, elements, evaluator.evaluate_batch)
+        # The evaluator regenerates the kernel source, so it is built on the
+        # first grid request: a model without grid searches never needs it.
+        def evaluate_batch(model, requests):
+            return self._evaluator_for(options).evaluate_batch(model, requests)
+
+        drive_elements(self.model, elements, evaluate_batch)
 
     def close(self) -> None:
         if self._evaluator is not None:

@@ -789,32 +789,30 @@ def empirical_attention_curve(
     """Average evaluation cost as a function of the prey attention level.
 
     This is the "grid" series of Figure 2: the model's evaluation kernel is
-    executed ``samples_per_level`` times for every candidate level (using the
-    data-parallel executor, i.e. exactly what running the model would do),
-    and the mean cost per level is reported.
+    executed ``samples_per_level`` times for every candidate level (through
+    gpu-sim's kernel call, one lane per sample, i.e. exactly what running
+    the model would do), and the mean cost per level is reported.
     """
-    from ..backends.gpu_sim import VectorizedKernelExecutor
+    from ..backends.gpu_sim import GpuSimEvaluator
 
     info = compiled.grid_searches[0]
-    kernel = compiled.module.get_function(info.kernel_name)
-    executor = VectorizedKernelExecutor(kernel)
+    evaluator = GpuSimEvaluator(compiled)
     flat_input = (
         list(inputs["player_loc"]) + list(inputs["predator_loc"]) + list(inputs["prey_loc"])
     )
+    lanes = samples_per_level
     rows = []
     for level_index, level in enumerate(levels):
-        lanes = samples_per_level
-        lane_args = {
-            1 + info.input_size + len(info.levels) + 1: (
-                np.arange(lanes, dtype=np.float64) * info.counter_stride
-                + level_index * lanes * info.counter_stride
-            )
-        }
-        scalar_args: List[object] = [(compiled.layout.param_values, 0)]
-        scalar_args += [float(v) for v in flat_input]
-        scalar_args += [float(fixed_allocation[0]), float(fixed_allocation[1]), float(level)]
-        scalar_args += [12345.0, 0.0]  # fixed PRNG key; per-lane counters above
-        costs = executor(scalar_args, lane_args, lanes)
+        counters = (
+            np.arange(lanes, dtype=np.float64) * info.counter_stride
+            + level_index * lanes * info.counter_stride
+        )
+        args: List[object] = [float(v) for v in flat_input]
+        args += [float(fixed_allocation[0]), float(fixed_allocation[1]), float(level)]
+        args += [12345.0, counters]  # fixed PRNG key; per-lane counters
+        costs = evaluator.call_kernel(
+            info.kernel_name, compiled.layout.param_values, args, lanes
+        )
         rows.append({"attention": float(level), "mean_cost": float(np.mean(costs))})
     return rows
 

@@ -11,8 +11,7 @@ Typical usage goes through the driver facade (see DESIGN.md)::
 
 This module holds the actual compilation stages
 (:func:`compile_composition`) and the :class:`CompiledModel` artifact
-bundle.  :func:`compile_model` remains as a deprecated shim over
-:func:`compile_composition`.
+bundle.
 
 The compiled model exposes the same result structure as the interpretive
 reference runner, so downstream analysis code does not care which engine
@@ -23,9 +22,8 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,11 +39,6 @@ from ..driver.pipeline import resolve_pipeline
 from ..passes.pass_manager import PassManager
 from .codegen import CompiledArtifacts, generate_model_ir
 from .structs import StaticLayout, build_layout
-
-#: Deprecated: the built-in engine names.  Backends now self-register with
-#: :mod:`repro.driver.engines`; use :func:`repro.list_engines` instead.
-ENGINES = ("compiled", "ir-interp", "per-node", "mcpu", "gpu-sim")
-
 
 @dataclass
 class CompileStats:
@@ -107,7 +100,6 @@ class CompiledModel:
         stats: CompileStats,
         compiled_functions: Dict[str, object],
         pipeline: Optional[PassManager] = None,
-        opt_level: Optional[int] = None,
         flags: Optional[Dict[str, object]] = None,
         seed: int = 0,
     ):
@@ -118,7 +110,6 @@ class CompiledModel:
         self.module = artifacts.module
         self.pipeline = pipeline
         self.pipeline_text = pipeline.describe() if pipeline is not None else ""
-        self.opt_level = opt_level
         self.flags = dict(flags or {})
         self.seed = int(seed)
         self.stats = stats
@@ -140,6 +131,9 @@ class CompiledModel:
         self.function_fingerprints: Dict[str, str] = {}
         self._compiled = compiled_functions
         self._engine_instances: Dict[str, object] = {}
+        #: Programs derived from the compiled code and shared by engines
+        #: (see :meth:`derived`); dropped together with the engine instances.
+        self._derived: Dict[str, object] = {}
         self._engine_lock = threading.Lock()
 
     # -- introspection -------------------------------------------------------------
@@ -281,6 +275,29 @@ class CompiledModel:
         if instance is not prepared:
             prepared.close()  # lost the race; drop the duplicate's resources
         return instance
+
+    def derived(self, key: str, build: Callable[["CompiledModel"], object]):
+        """The program ``build(self)`` derives from this model, built once.
+
+        Engines share what they derive from the compiled code here — the
+        lane program, the grid driver's plan — so two engines bound to one
+        model pay for it once.  Recompiling drops every derived program
+        together with the engine instances.
+        """
+        with self._engine_lock:
+            value = self._derived.get(key)
+        if value is None:
+            value = build(self)
+            with self._engine_lock:
+                value = self._derived.setdefault(key, value)
+        return value
+
+    def drop_engines(self) -> None:
+        """Close and forget every engine instance and derived program."""
+        self.close_engines()
+        with self._engine_lock:
+            self._engine_instances.clear()
+            self._derived.clear()
 
     def close_engines(self) -> None:
         """Release resources held by cached engine instances (worker pools)."""
@@ -457,7 +474,6 @@ def compile_composition(
     seed: int = 0,
     verify: Union[str, bool, None] = None,
     flags: Optional[Dict[str, object]] = None,
-    opt_level: Optional[int] = None,
     store=None,
 ) -> CompiledModel:
     """Compile ``composition`` with Distill.
@@ -488,8 +504,7 @@ def compile_composition(
 
     ``flags`` is an optional mapping of auxiliary compilation options; it is
     recorded on the returned model and participates in
-    :class:`repro.Session` cache keys.  ``opt_level`` is informational (set
-    by the deprecated :func:`compile_model` shim).
+    :class:`repro.Session` cache keys.
 
     Each compile owns one :class:`repro.analysis.manager.AnalysisManager`:
     analyses (dominator trees, loop info, ...) computed by one pass are
@@ -535,7 +550,6 @@ def compile_composition(
                 entry,
                 composition=composition,
                 pipeline=pipeline,
-                opt_level=opt_level,
                 flags=flags,
                 seed=seed,
                 stats=stats,
@@ -650,7 +664,6 @@ def compile_composition(
         stats,
         compiled_functions,
         pipeline=pipeline,
-        opt_level=opt_level,
         flags=flags,
         seed=seed,
     )
@@ -685,7 +698,6 @@ def _model_from_store_entry(
     entry,
     composition: Composition,
     pipeline: PassManager,
-    opt_level: Optional[int],
     flags: Optional[Dict[str, object]],
     seed: int,
     stats: CompileStats,
@@ -732,7 +744,6 @@ def _model_from_store_entry(
         stats,
         compiled_functions,
         pipeline=pipeline,
-        opt_level=opt_level,
         flags=flags,
         seed=seed,
     )
@@ -740,31 +751,3 @@ def _model_from_store_entry(
     model.unit_fingerprints = dict(entry["unit_fingerprints"])
     model.function_fingerprints = dict(entry["function_fingerprints"])
     return model
-
-
-def compile_model(
-    composition: Composition,
-    opt_level: int = 2,
-    seed: int = 0,
-    verify: bool = True,
-) -> CompiledModel:
-    """Deprecated: use :func:`repro.compile` / :meth:`repro.Session.compile`
-    (or :func:`compile_composition` for the low-level path) instead.
-
-    Kept as a thin shim so pre-driver call sites continue to work; it maps
-    ``opt_level`` onto the ``default<Ok>`` pipeline alias.
-    """
-    warnings.warn(
-        "repro.core.distill.compile_model() is deprecated; use repro.compile()"
-        " or repro.Session.compile() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    level = max(0, min(int(opt_level), 3))
-    return compile_composition(
-        composition,
-        pipeline=f"default<O{level}>",
-        seed=seed,
-        verify="boundary" if verify else "off",
-        opt_level=opt_level,
-    )

@@ -189,12 +189,6 @@ def _merge_grid_searches(model, regenerated) -> None:
     model.artifacts.grid_searches = merged
 
 
-def _invalidate_engines(model) -> None:
-    model.close_engines()
-    with model._engine_lock:
-        model._engine_instances.clear()
-
-
 def _swap_metadata(model, composition, info, layout) -> None:
     model.composition = composition
     model.info = info
@@ -218,7 +212,6 @@ def _adopt(model, fresh) -> None:
     model.module = fresh.module
     model.pipeline = fresh.pipeline
     model.pipeline_text = fresh.pipeline_text
-    model.opt_level = fresh.opt_level
     model.flags = fresh.flags
     model.seed = fresh.seed
     model.stats = fresh.stats
@@ -229,8 +222,6 @@ def _adopt(model, fresh) -> None:
     model.unit_fingerprints = fresh.unit_fingerprints
     model.function_fingerprints = fresh.function_fingerprints
     model._compiled = fresh._compiled
-    with model._engine_lock:
-        model._engine_instances.clear()
 
 
 def _full_recompile(model, composition, store, started, reason: str) -> Dict[str, object]:
@@ -242,10 +233,9 @@ def _full_recompile(model, composition, store, started, reason: str) -> Dict[str
         seed=model.seed,
         verify=None,  # a prebuilt manager keeps its own policy
         flags=model.flags or None,
-        opt_level=model.opt_level,
         store=store,
     )
-    _invalidate_engines(model)
+    model.drop_engines()
     _adopt(model, fresh)
     elapsed = time.perf_counter() - started
     model.stats.recompile_seconds += elapsed
@@ -334,7 +324,7 @@ def recompile_model(
         # default values — and the parallel engines' grid metadata — move.
         _swap_metadata(model, new_composition, info, layout)
         _merge_grid_searches(model, generator.grid_searches)
-        _invalidate_engines(model)
+        model.drop_engines()
         elapsed = time.perf_counter() - started
         stats.recompile_seconds += elapsed
         return {
@@ -379,7 +369,7 @@ def recompile_model(
     # The stored source and unit keys describe the original full compile;
     # a patched artifact is never written back to the store.
     model.source = None
-    _invalidate_engines(model)
+    model.drop_engines()
 
     elapsed = time.perf_counter() - started
     stats.artifact_patches += len(stale)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cogframe import ReferenceRunner
-from repro.core.distill import ENGINES, compile_composition
+from repro.core.distill import compile_composition
 from repro.errors import EngineError
 from repro.models import multitasking, necker, predator_prey, stroop
 

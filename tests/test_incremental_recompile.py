@@ -141,6 +141,30 @@ class TestFullFallback:
             model.close_engines()
             cold.close_engines()
 
+    def test_full_fallback_drops_the_grid_driver_plan(self):
+        """gpu-sim and mcpu run the grid driver's per-model plan (layout,
+        compiled helpers); after a full fallback they must run the new one."""
+        model = compile_pp()
+        parallel = (("gpu-sim", {}), ("mcpu", {"workers": 2}))
+        for engine, options in parallel:
+            raw_buffers(model, INPUTS, 4, 0, engine, **options)
+        edited = pp.build_predator_prey("s", base_std=3.0, attention_cost=0.2, passes=3)
+        report = model.recompile(composition=edited)
+        assert report["reason"] == "layout incompatible"
+        cold = compile_composition(
+            pp.build_predator_prey("s", base_std=3.0, attention_cost=0.2, passes=3),
+            pipeline="default<O2>",
+            store=False,
+        )
+        try:
+            want = raw_buffers(cold, INPUTS, 4, 0, "compiled")
+            for engine, options in (("compiled", {}),) + parallel:
+                got = raw_buffers(model, INPUTS, 4, 0, engine, **options)
+                assert buffers_equal(want, got) is None, engine
+        finally:
+            model.close_engines()
+            cold.close_engines()
+
     def test_mechanism_set_change_falls_back_to_full(self):
         spec_a = generate_model_spec(4)
         spec_b = generate_model_spec(6)

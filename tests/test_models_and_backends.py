@@ -1,21 +1,29 @@
 """Tests for the model builders, the minitorch stand-in, the compiled-Python
-backend, code specialisation utilities and reservoir sampling."""
-
-import math
+backend, code specialisation utilities, reservoir sampling and gpu-sim."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.backends.gpu_sim import GpuOccupancyModel, VectorizedKernelExecutor
+from repro.backends import lane as lane_backend
+from repro.backends.gpu_sim import GpuOccupancyModel, GpuSimEvaluator
+from repro.backends.grid_driver import (
+    GridRequest,
+    PreparedGrid,
+    allocation_for_index,
+    grid_strides,
+)
 from repro.backends.interp import Interpreter
 from repro.backends.pycodegen import PythonCodeGenerator, compile_module_to_python
 from repro.cogframe import CounterRNG, ReferenceRunner, sanitize
-from repro.core.distill import compile_composition
+from repro.bench.harness import empirical_attention_curve
+from repro.core.codegen import CompiledArtifacts
+from repro.core.distill import CompiledModel, CompileStats, compile_composition
 from repro.core.reservoir import merge_chunk_minima, reservoir_argmin
 from repro.core.specialize import emit_library_function, specialize_on_buffer
 from repro.cogframe.functions import DriftDiffusionIntegrator, Logistic
-from repro.ir import F64, FunctionType, IRBuilder, Module, pointer, verify_module
+from repro.fuzz.compare import arrays_equal
+from repro.ir import F64, ArrayType, FunctionType, IRBuilder, Module, pointer, verify_module
 from repro.models import FIGURE4_MODELS, MODEL_REGISTRY, get_model, predator_prey_variant
 from repro.models import multitasking, necker, predator_prey, stroop
 from repro import minitorch
@@ -245,22 +253,158 @@ class TestReservoirSampling:
             reservoir_argmin([float("nan"), float("nan")])
 
 
-class TestGpuSimulator:
-    def test_vectorized_executor_requires_straight_line(self):
-        module = Module("v")
-        fn = build_branchy_function(module)
-        with pytest.raises(ValueError, match="control flow"):
-            VectorizedKernelExecutor(fn)
+def build_grid_kernel(module, name, body):
+    """A grid kernel ``(params, alloc0, alloc1, rng_key, rng_counter)``.
 
-    def test_vectorized_executor_matches_scalar(self):
-        module = Module("v")
-        fn = module.add_function("axpy", FunctionType(F64, [F64, F64, F64]), ["a", "x", "y"])
-        b = IRBuilder(fn.append_block("entry"))
-        b.ret(b.fadd(b.fmul(fn.args[0], fn.args[1]), b.tanh(fn.args[2])))
-        executor = VectorizedKernelExecutor(fn)
-        xs = np.linspace(-2, 2, 7)
-        out = executor([2.0, 0.0, 0.5], {1: xs}, lanes=7)
-        np.testing.assert_allclose(out, 2.0 * xs + math.tanh(0.5), rtol=1e-12)
+    The kernel stores its PRNG state in a local ``[2 x double]`` exactly as
+    generated evaluation kernels do; ``body(b, fn, state)`` emits the rest
+    and returns the value to return.
+    """
+    fn = module.add_function(
+        name,
+        FunctionType(F64, [pointer(F64), F64, F64, F64, F64]),
+        ["params", "alloc0", "alloc1", "rng_key", "rng_counter"],
+    )
+    b = IRBuilder(fn.append_block("entry"))
+    state = b.alloca(ArrayType(F64, 2))
+    b.store(fn.args[3], b.gep(state, [0, 0]))
+    b.store(fn.args[4], b.gep(state, [0, 1]))
+    b.ret(body(b, fn, b.gep(state, [0, 0])))
+    return fn
+
+
+def kernel_model(module):
+    """A compiled model around a hand-built module of grid kernels."""
+    return CompiledModel(
+        None, None, None, CompiledArtifacts(module, None), CompileStats(),
+        PythonCodeGenerator(module).compile(),
+    )
+
+
+def gpu_sim_and_scalar_costs(compiled, name, levels, params=(0.5,), counter_stride=4):
+    """One grid region of kernel ``name`` through gpu-sim's evaluator, and
+    the same grid points through the scalar compiled kernel one by one."""
+    strides = grid_strides(levels)
+    grid_size = int(np.prod([len(lv) for lv in levels]))
+    prepared = PreparedGrid(
+        info=None, control_name=name, kernel_name=name,
+        levels=tuple(tuple(lv) for lv in levels), strides=strides,
+        grid_size=grid_size, counter_stride=counter_stride, input_size=0,
+    )
+    key, counter_base = 17, 1000
+    request = GridRequest(prepared, list(params), [], key, counter_base)
+    costs = GpuSimEvaluator(compiled).evaluate(request)
+    scalar = compiled.function(name)
+    reference = [
+        scalar(
+            (list(params), 0),
+            *allocation_for_index(levels, index, strides),
+            float(key),
+            float(counter_base + index * counter_stride),
+        )
+        for index in range(grid_size)
+    ]
+    return costs, reference
+
+
+NAN = float("nan")
+
+#: Operations whose numpy spelling differs from the guarded scalar
+#: intrinsic (fmax/fmin of NaN, pow overflow, fptosi of NaN); levels stay
+#: inside the int64 range for fptosi.
+SCALAR_SEMANTICS_CASES = {
+    "fmax": ([NAN, 0.0, -2.5, 7.0], [NAN, 0.0, 3.0]),
+    "fmin": ([NAN, 0.0, -2.5, 7.0], [NAN, 0.0, 3.0]),
+    "pow": ([1e200, -1e200, 0.0, 2.5, NAN], [2.0, -1.0, 0.5]),
+    "fptosi": ([NAN, -2.5, 0.0, 7.75], [0.0]),
+}
+
+
+def branchy_kernel_body(b, fn, state):
+    """Lanes diverge on ``alloc0 > alloc1`` and only the taken arm draws,
+    so the draw after the join reads per-lane counters."""
+    x, y = fn.args[1], fn.args[2]
+    then_block = fn.append_block("then")
+    else_block = fn.append_block("else")
+    merge = fn.append_block("merge")
+    b.cond_br(b.fcmp("ogt", x, y), then_block, else_block)
+    b.position_at_end(then_block)
+    scale = b.load(fn.args[0])
+    then_value = b.fmul(b.fmul(x, scale), b.rng_normal(state))
+    b.br(merge)
+    b.position_at_end(else_block)
+    else_value = b.fadd(b.log(y), b.f64(1.0))
+    b.br(merge)
+    b.position_at_end(merge)
+    joined = b.phi(F64)
+    joined.add_incoming(then_value, then_block)
+    joined.add_incoming(else_value, else_block)
+    return b.fadd(joined, b.rng_uniform(state))
+
+
+BRANCHY_LEVELS = [[0.5, 1.0, 2.0, 4.0], [0.25, 1.5, 3.0]]
+
+
+class TestGpuSimulator:
+    @pytest.mark.parametrize("op", sorted(SCALAR_SEMANTICS_CASES))
+    def test_kernel_path_bitwise_equals_scalar_kernel(self, op):
+        def body(b, fn, state):
+            x, y = fn.args[1], fn.args[2]
+            if op == "fptosi":
+                return b.sitofp(b.fptosi(x))
+            return b.intrinsic(op, [x, y])
+
+        module = Module("ops")
+        build_grid_kernel(module, f"eval_{op}", body)
+        costs, reference = gpu_sim_and_scalar_costs(
+            kernel_model(module), f"eval_{op}", SCALAR_SEMANTICS_CASES[op]
+        )
+        assert arrays_equal(costs, reference), (list(costs), reference)
+
+    def test_branchy_kernel_runs_under_masks(self):
+        module = Module("branchy")
+        kernel = build_grid_kernel(module, "eval_branchy", branchy_kernel_body)
+        assert len(kernel.blocks) > 1
+        costs, reference = gpu_sim_and_scalar_costs(
+            kernel_model(module), "eval_branchy", BRANCHY_LEVELS
+        )
+        assert arrays_equal(costs, reference), (list(costs), reference)
+
+    def test_kernel_falling_back_per_lane_still_runs(self, monkeypatch):
+        """Without a lane ``log`` the kernel runs lane by lane through the
+        scalar program, which writes its pointer rows back."""
+        monkeypatch.delitem(lane_backend.LANE_INTRINSICS, "log")
+        module = Module("fallback")
+        build_grid_kernel(module, "eval_branchy", branchy_kernel_body)
+        compiled = kernel_model(module)
+        costs, reference = gpu_sim_and_scalar_costs(compiled, "eval_branchy", BRANCHY_LEVELS)
+        assert lane_backend.lane_program(compiled).fallbacks == ["eval_branchy"]
+        assert arrays_equal(costs, reference), (list(costs), reference)
+
+    def test_empirical_attention_curve_equals_scalar_kernel_calls(self):
+        compiled = compile_composition(predator_prey.build_predator_prey("s"))
+        inputs = predator_prey.default_inputs(1)[0]
+        levels, samples, fixed = [0.0, 2.0, 4.5], 50, (2.5, 2.5)
+        rows = empirical_attention_curve(
+            compiled, inputs, levels, samples_per_level=samples, fixed_allocation=fixed
+        )
+        info = compiled.grid_searches[0]
+        kernel = compiled.function(info.kernel_name)
+        flat = [
+            float(v)
+            for key in ("player_loc", "predator_loc", "prey_loc")
+            for v in inputs[key]
+        ]
+        params = list(compiled.layout.param_values)
+        for level_index, (level, row) in enumerate(zip(levels, rows)):
+            costs = [
+                kernel(
+                    (params, 0), *flat, *fixed, level, 12345.0,
+                    float((level_index * samples + lane) * info.counter_stride),
+                )
+                for lane in range(samples)
+            ]
+            assert row == {"attention": level, "mean_cost": float(np.mean(costs))}
 
     def test_occupancy_model_monotonic(self):
         model = GpuOccupancyModel()
